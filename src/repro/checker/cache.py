@@ -23,9 +23,9 @@ Correctness of the sharing rests on two invariants:
   manufactures a *new* history gets a fresh entry by construction.
   :func:`invalidate` exists for tests and for any future mutable-history
   experiment.
-* The cached CO :class:`~repro.checker.graph.Relation` is shared
-  read-only. Checkers that extend the relation (causal saturation, CCv
-  conflict edges) must ``copy()`` it first — all in-tree callers do.
+* The cached :class:`~repro.checker.graph.Relation` objects (CO and its
+  sparse base) are shared read-only. Checkers that extend a relation
+  (CCv conflict edges) must ``copy()`` it first — all in-tree callers do.
 """
 
 from __future__ import annotations
@@ -69,7 +69,8 @@ def check_cache(history: History, max_states: int = 500_000) -> CheckResult:
 class Derivations:
     """Everything the checkers derive from a history, computed once.
 
-    ``operations``, ``index`` and ``reads_from`` are built eagerly (they
+    ``operations``, ``index``, ``reads_from`` and ``base`` (the sparse
+    program order union reads-from, not closed) are built eagerly (they
     are cheap and every checker needs them); the CO closure is built on
     first access of :attr:`order`, so checkers that never look at causal
     order (PRAM's per-process view search) do not pay for it.
@@ -80,7 +81,7 @@ class Derivations:
     no measurable win.
     """
 
-    __slots__ = ("operations", "index", "reads_from", "_base", "_order")
+    __slots__ = ("operations", "index", "reads_from", "base", "_order")
 
     def __init__(self, history: History) -> None:
         ops = list(history.operations)
@@ -97,7 +98,7 @@ class Derivations:
         for read, write in self.reads_from.items():
             if write is not None:
                 base.add(self.index[write.op_id], self.index[read.op_id])
-        self._base = base
+        self.base = base
         self._order: Optional[Relation] = None
 
     @property
@@ -108,7 +109,7 @@ class Derivations:
         extending it.
         """
         if self._order is None:
-            self._order = self._base.transitive_closure()
+            self._order = self.base.transitive_closure()
         return self._order
 
 

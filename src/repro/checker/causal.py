@@ -16,21 +16,24 @@ and Hamza, "On verifying causal consistency" (POPL 2017):
 3. alpha_i has a causal view iff the saturated relation is acyclic and no
    read of the initial value of ``x`` is preceded by a write on ``x``.
 
-The implementation keeps the full-size CO closure and maintains it
-*incrementally*: saturation edges are folded in with
-:meth:`~repro.checker.graph.Relation.add_closed` (O(n) bitmask unions per
-edge) instead of re-running the global closure fixpoint on every pass.
-Restricting to alpha_i never materialises a subrelation either — added
-edges connect writes (which belong to every alpha_i), so reachability
-between alpha_i's members in the full closure coincides with the
-restricted closure, and only alpha_i's nodes are consulted for cycles.
-The checks are performed against a per-pass snapshot, which keeps the
-pass-by-pass behaviour (and thus the reported violation) identical to
-the naive recompute-per-pass formulation; the equivalence is pinned by
-property tests against the naive version and the certificate-producing
-view search (:mod:`repro.checker.views`).
+The implementation follows that recompute-per-pass formulation, but on
+bitmasks in the predecessor direction. It keeps the *sparse* base
+relation (program order plus reads-from, :attr:`Derivations.base
+<repro.checker.cache.Derivations.base>`, transposed) and, per pass:
+takes the closed predecessor masks ``P``; for each read ``r`` of ``x``
+from ``w`` computes ``P[r] & writes_on[x]`` (the writes on ``x`` before
+``r``); ORs those not yet before ``w`` into ``w``'s direct predecessors;
+and re-closes the grown sparse relation with one topological pass
+(:meth:`~repro.checker.graph.Relation.transitive_closure`). Never
+materialising a restricted relation is sound because added edges connect
+writes, which belong to every alpha_i: reachability between alpha_i's
+members in the full relation coincides with the restricted one, and
+only alpha_i's nodes are consulted for cycles. The reported violation is
+therefore the one the textbook formulation reports; property tests pin
+this against a naive Warshall-closure oracle and against the
+certificate-producing view search (:mod:`repro.checker.views`).
 
-Derived structures (CO closure, reads-from, op index) are shared with
+Derived structures (op index, reads-from, sparse base) are shared with
 the other checkers through :mod:`repro.checker.cache`.
 """
 
@@ -62,75 +65,59 @@ def causal_order(history: History) -> tuple[list[Operation], Relation]:
 
 def _saturate(
     ops: list[Operation],
-    closed: Relation,
+    preds: Relation,
+    before: Relation,
     proc: str,
-    members: Optional[list[int]] = None,
-) -> tuple[Relation, Optional[Violation]]:
-    """Saturate *closed* (a transitively closed relation, mutated in
-    place) for process *proc*; returns (closure, violation).
+    reads: list[tuple[int, int, Optional[int]]],
+    carrier: int,
+) -> Optional[Violation]:
+    """Saturate alpha_*proc*; returns the violation, or None if causal.
 
-    *ops* may be the full operation list: only writes and *proc*'s reads
-    participate. *members* (computed if omitted) lists their positions —
-    the alpha_i carrier whose nodes are checked for cycles.
+    *preds* is the sparse base in the predecessor direction (mutated in
+    place) and *before* its transitive closure: ``before`` masks hold
+    every op CO-before a node. *reads* lists *proc*'s reads in history
+    order as (read, mask of the writes on its variable, source write or
+    None for the initial value). *carrier* is the bitmask of alpha_i.
     """
-    reads_from: dict[int, Optional[int]] = {}
-    writes_by_key = {
-        (op.var, op.value): position for position, op in enumerate(ops) if op.is_write
-    }
-    writes_on: dict[str, list[int]] = {}
-    carrier = [] if members is None else members
-    for position, op in enumerate(ops):
-        if op.is_write:
-            writes_on.setdefault(op.var, []).append(position)
-            if members is None:
-                carrier.append(position)
-        elif op.proc == proc:
-            if members is None:
-                carrier.append(position)
-            if op.reads_initial:
-                reads_from[position] = None
-            else:
-                reads_from[position] = writes_by_key[(op.var, op.value)]
-
-    while True:
-        cyclic = next(
-            (position for position in carrier if closed.has(position, position)),
-            None,
-        )
-        if cyclic is not None:
-            return closed, Violation(
-                pattern="CyclicHB",
-                process=proc,
-                operations=(ops[cyclic],),
-                detail="the saturated happened-before relation is cyclic; "
-                "no permutation can preserve the causal order",
-            )
-        # Checks run against the pass-start snapshot so that a pass sees
-        # exactly the closure its predecessor produced (matching the
-        # naive recompute-per-pass semantics edge for edge), while new
-        # edges fold into the live closure incrementally.
-        snapshot = closed.copy()
-        changed = False
-        for read_pos, write_pos in reads_from.items():
-            read = ops[read_pos]
-            for other_pos in writes_on.get(read.var, ()):
-                if other_pos == write_pos:
-                    continue
-                if not snapshot.has(other_pos, read_pos):
+    passes = edges = 0
+    try:
+        while True:
+            passes += 1
+            added = 0
+            for read_pos, writes, write_pos in reads:
+                earlier = before.successors_mask(read_pos) & writes
+                if not earlier:
                     continue
                 if write_pos is None:
-                    return snapshot, Violation(
+                    other = ops[(earlier & -earlier).bit_length() - 1]
+                    read = ops[read_pos]
+                    return Violation(
                         pattern="WriteHBInitRead",
                         process=proc,
-                        operations=(ops[other_pos], read),
+                        operations=(other, read),
                         detail=f"{read} returns the initial value although "
-                        f"{ops[other_pos]} precedes it in causal order",
+                        f"{other} precedes it in causal order",
                     )
-                if not snapshot.has(other_pos, write_pos):
-                    closed.add_closed(other_pos, write_pos)
-                    changed = True
-        if not changed:
-            return closed, None
+                new = earlier & ~before.successors_mask(write_pos) & ~(1 << write_pos)
+                if new:
+                    preds.add_mask(write_pos, new)
+                    added += new.bit_count()
+            if not added:
+                return None
+            edges += added
+            before = preds.transitive_closure()
+            cyclic = before.cycle_node(carrier)
+            if cyclic is not None:
+                return Violation(
+                    pattern="CyclicHB",
+                    process=proc,
+                    operations=(ops[cyclic],),
+                    detail="the saturated happened-before relation is cyclic; "
+                    "no permutation can preserve the causal order",
+                )
+    finally:
+        observe_size("checker.saturation_passes", passes)
+        observe_size("checker.saturation_edges", edges)
 
 
 @profiled("checker.check_causal")
@@ -150,8 +137,10 @@ def check_causal(history: History) -> CheckResult:
         )
         return result
 
-    ops, order = derivations.operations, derivations.order
-    cyclic = order.cycle_node()
+    ops, index = derivations.operations, derivations.index
+    preds = derivations.base.transposed()
+    before = preds.transitive_closure()
+    cyclic = before.cycle_node()
     if cyclic is not None:
         result.ok = False
         result.violations.append(
@@ -164,18 +153,30 @@ def check_causal(history: History) -> CheckResult:
         )
         return result
 
-    # Build the predecessor transpose once on the shared closure: each
-    # per-process copy inherits it, so saturation never re-transposes.
-    order._ensure_pred()
+    writes_on: dict[str, int] = {}
+    all_writes = 0
+    for position, op in enumerate(ops):
+        if op.is_write:
+            bit = 1 << position
+            writes_on[op.var] = writes_on.get(op.var, 0) | bit
+            all_writes |= bit
+    reads_of: dict[str, list[tuple[int, int, Optional[int]]]] = {}
+    for read, write in derivations.reads_from.items():
+        reads_of.setdefault(read.proc, []).append(
+            (
+                index[read.op_id],
+                writes_on.get(read.var, 0),
+                None if write is None else index[write.op_id],
+            )
+        )
     for proc in history.processes():
-        members = [
-            position
-            for position, op in enumerate(ops)
-            if op.is_write or op.proc == proc
-        ]
-        if not any(ops[position].is_read for position in members):
+        reads = reads_of.get(proc)
+        if not reads:
             continue
-        _, violation = _saturate(ops, order.copy(), proc, members)
+        carrier = all_writes
+        for read_pos, _, _ in reads:
+            carrier |= 1 << read_pos
+        violation = _saturate(ops, preds.copy(), before, proc, reads, carrier)
         if violation is not None:
             result.ok = False
             result.violations.append(violation)

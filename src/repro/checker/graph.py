@@ -2,13 +2,12 @@
 
 Relations are kept as per-node successor bitmasks (Python ints), which
 makes transitive closure and reachability cheap for the history sizes the
-checkers handle (hundreds to a few thousand operations). Predecessor
-masks are maintained lazily (built by one transpose pass on first use)
-so that :meth:`Relation.add_closed` can restore transitive closure
-incrementally after an edge insertion instead of re-running the global
-fixpoint — the saturation loop of :mod:`repro.checker.causal` adds a
-handful of edges per pass, and re-closing from scratch each time was the
-checker's dominant cost.
+checkers handle (up to tens of thousands of operations). The closure of
+a sparse relation — program order plus reads-from has about two edges
+per node — is one topological pass of mask unions, so callers that grow
+a relation (the saturation loop of :mod:`repro.checker.causal`) keep the
+sparse relation and re-close it, rather than maintaining a dense closure
+edge by edge.
 """
 
 from __future__ import annotations
@@ -21,14 +20,11 @@ from repro.obs.profile import observe_size, profiled
 class Relation:
     """A binary relation over ``range(size)`` with bitmask adjacency."""
 
-    __slots__ = ("size", "_succ", "_pred")
+    __slots__ = ("size", "_succ")
 
     def __init__(self, size: int) -> None:
         self.size = size
         self._succ: list[int] = [0] * size
-        #: Lazily-built transpose (per-node predecessor masks). ``None``
-        #: until first needed; kept in sync by add/add_closed once built.
-        self._pred: Optional[list[int]] = None
 
     def add(self, a: int, b: int) -> bool:
         """Add the pair (a, b); returns True if it was new."""
@@ -36,9 +32,11 @@ class Relation:
         if self._succ[a] & bit:
             return False
         self._succ[a] |= bit
-        if self._pred is not None:
-            self._pred[b] |= 1 << a
         return True
+
+    def add_mask(self, a: int, mask: int) -> None:
+        """Add (a, b) for every b in the bitmask *mask*."""
+        self._succ[a] |= mask
 
     def has(self, a: int, b: int) -> bool:
         return bool(self._succ[a] & (1 << b))
@@ -53,35 +51,20 @@ class Relation:
             yield low.bit_length() - 1
             mask ^= low
 
-    def _ensure_pred(self) -> list[int]:
-        """Build (or return) the predecessor masks."""
-        if self._pred is None:
-            pred = [0] * self.size
-            for node, mask in enumerate(self._succ):
-                bit = 1 << node
-                while mask:
-                    low = mask & -mask
-                    pred[low.bit_length() - 1] |= bit
-                    mask ^= low
-            self._pred = pred
-        return self._pred
-
-    def predecessors_mask(self, a: int) -> int:
-        return self._ensure_pred()[a]
-
-    def predecessors(self, a: int) -> Iterator[int]:
-        mask = self.predecessors_mask(a)
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
     def copy(self) -> "Relation":
         dup = Relation(self.size)
         dup._succ = list(self._succ)
-        if self._pred is not None:
-            dup._pred = list(self._pred)
         return dup
+
+    def transposed(self) -> "Relation":
+        """The converse relation: (b, a) for every pair (a, b)."""
+        converse = Relation(self.size)
+        pred = converse._succ
+        for node, mask in enumerate(self._succ):
+            bit = 1 << node
+            for child in _bits(mask):
+                pred[child] |= bit
+        return converse
 
     @profiled("checker.transitive_closure")
     def transitive_closure(self) -> "Relation":
@@ -91,55 +74,28 @@ class Relation:
         plus reads-from of a well-formed history) are closed in a single
         reverse-topological pass; a cycle falls back to the mask-
         propagation fixpoint, whose result is identical (the closure is
-        unique) and which still terminates on cyclic input.
+        unique) and which still terminates on cyclic input. Each mask is
+        decoded to a list of set bits once: on large, sparse relations
+        decoding is what costs, not the unions.
         """
         observe_size("checker.graph_nodes", self.size)
-        order = self._topological_order()
-        if order is not None:
-            closure = Relation(self.size)
-            closed = closure._succ
-            succ = self._succ
-            for node in reversed(order):
-                mask = succ[node]
-                acc = mask
-                while mask:
-                    low = mask & -mask
-                    acc |= closed[low.bit_length() - 1]
-                    mask ^= low
-                closed[node] = acc
-            return closure
-        return self._closure_fixpoint()
-
-    def _topological_order(self) -> Optional[list[int]]:
-        """A topological order of the nodes, or None if cyclic."""
+        children = [_bits(mask) for mask in self._succ]
+        order = _topological_order(children)
+        if order is None:
+            return self._closure_fixpoint()
+        closure = Relation(self.size)
+        closed = closure._succ
         succ = self._succ
-        indegree = [0] * self.size
-        for mask in succ:
-            while mask:
-                low = mask & -mask
-                indegree[low.bit_length() - 1] += 1
-                mask ^= low
-        stack = [node for node in range(self.size) if not indegree[node]]
-        order: list[int] = []
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            mask = succ[node]
-            while mask:
-                low = mask & -mask
-                child = low.bit_length() - 1
-                indegree[child] -= 1
-                if not indegree[child]:
-                    stack.append(child)
-                mask ^= low
-        if len(order) != self.size:
-            return None
-        return order
+        for node in reversed(order):
+            acc = succ[node]
+            for child in children[node]:
+                acc |= closed[child]
+            closed[node] = acc
+        return closure
 
     def _closure_fixpoint(self) -> "Relation":
         """The original mask-propagation fixpoint (handles cycles)."""
         closure = self.copy()
-        closure._pred = None
         succ = closure._succ
         changed = True
         while changed:
@@ -147,53 +103,21 @@ class Relation:
             for node in range(closure.size):
                 mask = succ[node]
                 acc = mask
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    acc |= succ[low.bit_length() - 1]
-                    remaining ^= low
+                for child in _bits(mask):
+                    acc |= succ[child]
                 if acc != mask:
                     succ[node] = acc
                     changed = True
         return closure
 
-    def add_closed(self, a: int, b: int) -> bool:
-        """Add (a, b) to an already transitively *closed* relation and
-        restore closure incrementally; returns True if the edge was new.
-
-        Every node that reaches ``a`` (plus ``a`` itself) gains every
-        node reachable from ``b`` (plus ``b`` itself) — O(n) bitmask
-        unions per insertion instead of a global re-closure. Only
-        meaningful when ``self`` is transitively closed.
-        """
-        bit_b = 1 << b
-        if self._succ[a] & bit_b:
-            return False
-        pred = self._ensure_pred()
-        succ = self._succ
-        targets = succ[b] | bit_b
-        sources = pred[a] | (1 << a)
-        mask = sources
-        while mask:
-            low = mask & -mask
-            source = low.bit_length() - 1
-            if succ[source] | targets != succ[source]:
-                succ[source] |= targets
-            mask ^= low
-        mask = targets
-        while mask:
-            low = mask & -mask
-            pred[low.bit_length() - 1] |= sources
-            mask ^= low
-        return True
-
-    def cycle_node(self) -> Optional[int]:
-        """A node on a cycle of the *closed* relation, or None.
+    def cycle_node(self, among: int = -1) -> Optional[int]:
+        """The lowest node of the bitmask *among* (default: every node)
+        that lies on a cycle of the *closed* relation, or None.
 
         Only meaningful when called on a transitive closure.
         """
-        for node in range(self.size):
-            if self._succ[node] & (1 << node):
+        for node, mask in enumerate(self._succ):
+            if mask & among & (1 << node):
                 return node
         return None
 
@@ -240,6 +164,35 @@ class Relation:
     def equal_edges(self, other: "Relation") -> bool:
         """True if both relations have exactly the same pairs."""
         return self.size == other.size and self._succ == other._succ
+
+
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of *mask*, highest first."""
+    bits = []
+    while mask:
+        top = mask.bit_length() - 1
+        bits.append(top)
+        mask ^= 1 << top
+    return bits
+
+
+def _topological_order(children: list[list[int]]) -> Optional[list[int]]:
+    """A topological order of the adjacency lists *children* (Kahn), or
+    None if they contain a cycle."""
+    indegree = [0] * len(children)
+    for kids in children:
+        for child in kids:
+            indegree[child] += 1
+    stack = [node for node, degree in enumerate(indegree) if not degree]
+    order: list[int] = []
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        for child in children[node]:
+            indegree[child] -= 1
+            if not indegree[child]:
+                stack.append(child)
+    return order if len(order) == len(children) else None
 
 
 __all__ = ["Relation"]

@@ -28,6 +28,7 @@ contract, not a separate test.
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import time
@@ -99,11 +100,12 @@ def _make_history(processes: int, ops_per_process: int, seed: int = 0):
     return recorder.history()
 
 
-def _case_checker_causal(rounds: int) -> dict:
+def _case_checker_causal(rounds: int, ops_per_process: int = 40) -> dict:
+    """Cold-cache ``check_causal`` on 8 processes × *ops_per_process*."""
     from repro.checker import check_causal
     from repro.checker.cache import invalidate
 
-    history = _make_history(8, 40)
+    history = _make_history(8, ops_per_process)
 
     def once():
         invalidate()  # time the cold path: derivation + saturation
@@ -111,7 +113,7 @@ def _case_checker_causal(rounds: int) -> dict:
 
     seconds, verdict = _best_of(once, rounds)
     return {
-        "name": "checker_causal_320",
+        "name": f"checker_causal_{8 * ops_per_process}",
         "seconds": seconds,
         "ops": len(history),
         "ok": bool(verdict.ok),
@@ -262,6 +264,10 @@ def run_perf_suite(
     failures: list[str] = []
     for runner, label in (
         (_case_checker_causal, "checker_causal_320"),
+        (
+            functools.partial(_case_checker_causal, ops_per_process=400),
+            "checker_causal_3200",
+        ),
         (_case_checker_sessions, "checker_sessions_320"),
         (_case_causality_chain5, "causality_chain5_large"),
     ):

@@ -2,6 +2,8 @@
 
 from repro.checker import causal_order, check_causal
 from repro.memory.operations import INITIAL_VALUE
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.profile import profiling
 from tests.helpers import ops
 
 
@@ -160,3 +162,41 @@ class TestCausalOrder:
         _, order = causal_order(history)
         assert not order.has(0, 1)
         assert not order.has(1, 0)
+
+
+class TestSaturationObservability:
+    def test_passes_and_edges_are_reported_per_process(self):
+        # C and D see the concurrent writes in opposite orders: each
+        # saturation adds one write-to-write edge in its first pass and
+        # confirms the fixpoint in the second. A and B issue no reads and
+        # are not saturated.
+        history = ops(
+            ("A", "w", "x", 1),
+            ("B", "w", "x", 2),
+            ("C", "r", "x", 1),
+            ("C", "r", "x", 2),
+            ("D", "r", "x", 2),
+            ("D", "r", "x", 1),
+        )
+        registry = MetricsRegistry()
+        with profiling(registry):
+            assert check_causal(history).ok
+        passes = registry.histogram("profile_size", site="checker.saturation_passes")
+        edges = registry.histogram("profile_size", site="checker.saturation_edges")
+        assert (passes.count, passes.sum) == (2, 4)
+        assert (edges.count, edges.sum) == (2, 2)
+
+    def test_a_violation_still_reports_its_passes(self):
+        history = ops(
+            ("A", "w", "x", 1),
+            ("A", "w", "y", 1),
+            ("B", "r", "y", 1),
+            ("B", "r", "x", INITIAL_VALUE),
+        )
+        registry = MetricsRegistry()
+        with profiling(registry):
+            assert not check_causal(history).ok
+        passes = registry.histogram("profile_size", site="checker.saturation_passes")
+        edges = registry.histogram("profile_size", site="checker.saturation_edges")
+        assert (passes.count, passes.sum) == (1, 1)
+        assert (edges.count, edges.sum) == (1, 0)

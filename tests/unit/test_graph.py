@@ -108,69 +108,72 @@ class TestRestrict:
         assert sub.edge_count() == 3
 
 
-class TestPredecessors:
-    def test_predecessors_are_the_transpose(self):
+class TestTransposed:
+    def test_transposed_is_the_converse(self):
         relation = Relation(4)
         relation.add(0, 2)
         relation.add(1, 2)
         relation.add(2, 3)
-        assert sorted(relation.predecessors(2)) == [0, 1]
-        assert sorted(relation.predecessors(0)) == []
-        assert relation.predecessors_mask(3) == 1 << 2
+        converse = relation.transposed()
+        assert sorted(converse.successors(2)) == [0, 1]
+        assert sorted(converse.successors(0)) == []
+        assert converse.successors_mask(3) == 1 << 2
+        assert converse.edge_count() == relation.edge_count()
 
-    def test_add_keeps_built_predecessors_in_sync(self):
+    def test_transposed_does_not_track_later_adds(self):
         relation = Relation(3)
         relation.add(0, 1)
-        assert list(relation.predecessors(1)) == [0]  # builds the transpose
+        converse = relation.transposed()
         relation.add(2, 1)
-        assert sorted(relation.predecessors(1)) == [0, 2]
-
-    def test_copy_carries_predecessors(self):
-        relation = Relation(3)
-        relation.add(0, 1)
-        relation.predecessors_mask(1)
-        dup = relation.copy()
-        dup.add(2, 1)
-        assert sorted(dup.predecessors(1)) == [0, 2]
-        assert sorted(relation.predecessors(1)) == [0]
+        assert list(converse.successors(1)) == [0]
 
 
-class TestAddClosed:
-    def test_add_closed_bridges_reachability(self):
+class TestAddMask:
+    def test_add_mask_then_reclose_bridges_reachability(self):
         relation = Relation(5)
         relation.add(0, 1)
         relation.add(3, 4)
+        relation.add_mask(1, 1 << 3)
         closed = relation.transitive_closure()
-        assert closed.add_closed(1, 3)
         # Everything reaching 1 now reaches everything 3 reaches.
         assert closed.has(0, 3)
         assert closed.has(0, 4)
         assert closed.has(1, 4)
         assert not closed.has(4, 0)
 
-    def test_add_closed_existing_edge_is_noop(self):
+    def test_add_mask_of_existing_edges_is_noop(self):
         relation = Relation(3)
         relation.add(0, 1)
-        closed = relation.transitive_closure()
-        assert not closed.add_closed(0, 1)
+        relation.add(0, 2)
+        before = relation.copy()
+        relation.add_mask(0, 1 << 1 | 1 << 2)
+        assert relation.equal_edges(before)
 
-    def test_add_closed_matches_full_reclosure(self):
-        relation = Relation(6)
-        for a, b in [(0, 1), (1, 2), (3, 4), (4, 5)]:
-            relation.add(a, b)
-        closed = relation.transitive_closure()
-        closed.add_closed(2, 3)
-        relation.add(2, 3)
-        assert closed.equal_edges(relation.transitive_closure())
+    def test_add_mask_matches_per_edge_add(self):
+        by_mask, by_edge = Relation(6), Relation(6)
+        by_mask.add_mask(2, 1 << 3 | 1 << 5)
+        by_edge.add(2, 3)
+        by_edge.add(2, 5)
+        assert by_mask.equal_edges(by_edge)
+        assert by_mask.transitive_closure().equal_edges(by_edge.transitive_closure())
 
-    def test_add_closed_can_create_cycle(self):
+    def test_reclosure_after_add_mask_can_create_cycle(self):
         relation = Relation(3)
         relation.add(0, 1)
         relation.add(1, 2)
+        relation.add_mask(2, 1 << 0)
         closed = relation.transitive_closure()
-        closed.add_closed(2, 0)
-        assert closed.cycle_node() is not None
+        assert closed.cycle_node() == 0
         assert closed.has(1, 1)
+
+    def test_cycle_node_among_restricts_to_the_mask(self):
+        relation = Relation(4)
+        relation.add(1, 2)
+        relation.add(2, 1)
+        closed = relation.transitive_closure()
+        assert closed.cycle_node() == 1
+        assert closed.cycle_node(1 << 2 | 1 << 3) == 2
+        assert closed.cycle_node(1 << 0 | 1 << 3) is None
 
 
 class TestEqualEdges:

@@ -108,7 +108,11 @@ class TestPerfSuite:
 
         monkeypatch.setattr(perf, "calibrate", lambda rounds=3: 0.01)
         monkeypatch.setattr(
-            perf, "_case_checker_causal", fake_case("checker_causal_320", 0.05)
+            perf,
+            "_case_checker_causal",
+            lambda rounds, ops_per_process=40: fake_case(
+                f"checker_causal_{8 * ops_per_process}", 0.05
+            )(rounds),
         )
         monkeypatch.setattr(
             perf,
