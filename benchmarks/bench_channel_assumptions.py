@@ -5,10 +5,7 @@ and the value-uniqueness breakage rate when it duplicates — plus the cost
 and effectiveness of the ``dedup_incoming`` hardening.
 """
 
-from repro.checker import check_causal
 from repro.errors import CheckerError
-from repro.sim.channel import ReliableFifoChannel, UniformDelay
-from repro.sim.unreliable import DuplicatingChannel, ReorderingChannel
 
 # Reuse the scenario builders from the integration test module: they are
 # the canonical X7 workloads.
@@ -36,7 +33,7 @@ def duplication_breakage_rate(dedup):
     effective = 0
     for seed in SEEDS:
         history, bridge = runner(dedup=dedup, seed=seed)
-        if bridge.channel_ab.duplicates_injected == 0:
+        if bridge.channel_ab.frames_duplicated == 0:
             continue
         effective += 1
         try:

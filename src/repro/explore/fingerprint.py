@@ -15,12 +15,14 @@ the explorer only needs to expand one of them. "Same state" here means
 Sequence numbers, wall-clock-ish quantities and object identities are
 excluded: they differ between interleavings that are otherwise
 equivalent. The canonicalisation (:func:`freeze`) is structural and
-generic — protocols do not need to cooperate — but deliberately
-conservative: anything it cannot represent stably collapses to a type
-marker, which can only make fingerprints *coarser* in the direction of
-fewer merges, never of unsound ones... with one caveat: a protocol whose
-relevant state hides behind a callable would be under-fingerprinted. All
-in-tree protocols keep plain data attributes.
+generic — protocols do not need to cooperate. Anything it cannot
+represent stably collapses to a type marker, which makes the fingerprint
+*coarser*: more distinct states compare equal, so more runs are merged,
+and a wrong merge prunes a subtree that was never explored. Coarseness
+is therefore the unsound direction. All in-tree protocols keep plain data
+attributes, but state that hides behind a callable is under-fingerprinted
+— notably the payloads of in-flight channel deliveries, which live only
+in the scheduled delivery closures.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ _SKIP_KEYS = frozenset(
         "upcall_handler",
         "update_listener",
         "_deliver",
-        "_on_send",
         "mcs",
         "_program",
         "_think_time",

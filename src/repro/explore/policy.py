@@ -52,9 +52,9 @@ def target_of(tag: str, aliases: dict) -> str:
     if tag.startswith("proc:"):
         raw = tag[len("proc:"):]
     elif tag.startswith("chan:"):
-        _, _, raw = tag.rpartition("->")
-        if not raw:  # per-message tags of assumption-violating channels
-            raw = tag
+        # The destination follows the last "->"; reordered and duplicate
+        # frames carry a per-frame "#..." suffix on the channel tag.
+        raw = tag.rpartition("->")[2].partition("#")[0]
     else:
         raw = tag
     return aliases.get(raw, raw)

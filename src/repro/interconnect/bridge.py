@@ -23,18 +23,15 @@ The channel joining the IS-processes comes in two flavours:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from repro.errors import ConfigurationError
 from repro.interconnect.is_process import ISProcess, PropagatedPair
 from repro.memory.system import DSMSystem
-from repro.resilience.transport import FaultPlan, ResilientTransport, RetryPolicy
+from repro.resilience.transport import ResilientTransport, RetryPolicy
 from repro.sim import rng as rng_mod
-from repro.sim.channel import AvailabilitySchedule, DelayModel, FixedDelay, ReliableFifoChannel
-
-_bridge_ids = itertools.count()
+from repro.sim.channel import AvailabilitySchedule, DelayModel, FaultPlan, ReliableFifoChannel
 
 
 @dataclass
@@ -166,10 +163,17 @@ def connect(
             while the link is down (extension X4).
         dedup_incoming: make ``Propagate_in`` idempotent (X7: tolerate
             at-least-once channels).
-        channel_factory: override the channel class joining the two
-            IS-processes (default :class:`ReliableFifoChannel`; the X7
-            experiments inject assumption-violating doubles here). Called
-            with the same keyword arguments as ``ReliableFifoChannel``.
+        seed: root of the link's rng streams, which are derived from
+            (*seed*, bridge name, direction).
+        name: the bridge name; defaults to ``link:{a}-{b}`` from the two
+            system names, so a run's rng streams do not depend on how
+            many bridges the process built before it.
+        channel_factory: override the channel joining the two
+            IS-processes (default :class:`ReliableFifoChannel`). Called
+            with the same keyword arguments as ``ReliableFifoChannel``;
+            the X7 experiments pass
+            ``functools.partial(ReliableFifoChannel, faults=...)`` to
+            break one channel assumption at a time.
         transport: ``"reliable"`` assumes the §1.1 channel;
             ``"resilient"`` constructs it from lossy parts
             (:class:`~repro.resilience.transport.ResilientTransport`).
@@ -223,7 +227,7 @@ def connect(
             raise ConfigurationError("retry policies apply to transport='resilient' only")
     if transport == "resilient" and channel_factory is not None:
         raise ConfigurationError("channel_factory and transport='resilient' are exclusive")
-    bridge_name = name or f"bridge{next(_bridge_ids)}"
+    bridge_name = name or f"link:{system_a.name}-{system_b.name}"
     isp_a = _obtain_isp(
         system_a, bridge_name, shared, use_pre_update, read_before_send, segment_a,
         coalesce_queued, dedup_incoming, durability,

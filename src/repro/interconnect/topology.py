@@ -130,7 +130,6 @@ def interconnect(
             read_before_send=read_before_send,
             coalesce_queued=coalesce_queued,
             seed=seed + index,
-            name=f"link:{systems[a].name}-{systems[b].name}",
         )
         result.bridges.append(bridge)
     return result

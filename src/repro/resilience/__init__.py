@@ -6,7 +6,8 @@ adversarial parts:
 
 * :mod:`repro.resilience.transport` — exactly-once FIFO sessions
   (sequence numbers, cumulative acks, backoff retransmission) over
-  lossy/reordering/duplicating/partitioning wires;
+  lossy/reordering/duplicating/partitioning wires (channels driven by a
+  :class:`~repro.sim.channel.FaultPlan`, re-exported here);
 * :mod:`repro.resilience.wal` — write-ahead log + checkpoint of the
   IS-process propagation state;
 * :mod:`repro.resilience.recovery` — crash/restart of IS-processes with
@@ -20,14 +21,8 @@ Only the sim-level pieces are imported eagerly here; ``recovery`` and
 imported lazily to keep the import graph acyclic.
 """
 
-from repro.resilience.transport import (
-    FaultPlan,
-    LossyChannel,
-    NO_FAULTS,
-    ResilientTransport,
-    RetryPolicy,
-    TransportStats,
-)
+from repro.resilience.transport import ResilientTransport, RetryPolicy, TransportStats
+from repro.sim.channel import NO_FAULTS, FaultPlan
 from repro.resilience.wal import RecoveredState, SessionState, WalRecord, WriteAheadLog
 
 _LAZY = {
@@ -53,7 +48,6 @@ def __getattr__(name: str):
 __all__ = [
     "FaultPlan",
     "NO_FAULTS",
-    "LossyChannel",
     "ResilientTransport",
     "RetryPolicy",
     "TransportStats",

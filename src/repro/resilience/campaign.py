@@ -39,7 +39,8 @@ from repro.interconnect.bridge import Bridge, connect
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import base as protocol_base
-from repro.resilience.transport import FaultPlan, RetryPolicy
+from repro.resilience.transport import RetryPolicy
+from repro.sim.channel import FaultPlan
 from repro.sim.core import Simulator
 from repro.workloads.generator import WorkloadSpec, populate_system
 from repro.workloads.values import ValueFactory

@@ -3,24 +3,20 @@
 The IS-protocols *assume* "a bidirectional reliable FIFO channel
 connecting one process from each system" (§1.1); every correctness result
 downstream (Lemma 1, Theorem 1) leans on that assumption. This module
-discharges it constructively:
+discharges it constructively.
 
-* :class:`LossyChannel` — an adversarial transport. Frames may be
-  dropped, duplicated, or reordered, each governed by a
-  :class:`FaultPlan`, and whole time windows may be partitioned (frames
-  sent during a partition are lost, unlike the queue-and-drain semantics
-  of :class:`repro.sim.channel.AvailabilitySchedule`). All fault
-  decisions flow through the deterministic sim rng, so a failing
-  schedule replays exactly.
-
-* :class:`ResilientTransport` — a session layer that recovers the
-  reliable-FIFO contract on top of two lossy wires (one for DATA frames,
-  one for cumulative ACKs): per-message sequence numbers, out-of-order
-  buffering at the receiver, cumulative acknowledgements, and
-  retransmission with exponential backoff plus jitter
-  (:class:`RetryPolicy`). Delivery to the application callback is
-  exactly-once and in send order — precisely the §1.1 channel — as long
-  as every frame has a nonzero chance of crossing eventually.
+:class:`ResilientTransport` is a session layer that recovers the
+reliable-FIFO contract on top of two adversarial wires (one for DATA
+frames, one for cumulative ACKs). Each wire is a
+:class:`~repro.sim.channel.ReliableFifoChannel` driven by a
+:class:`~repro.sim.channel.FaultPlan`: frames may be dropped, duplicated
+or reordered, and frames sent during a partition window are lost. The
+session uses per-message sequence numbers, out-of-order buffering at the
+receiver, cumulative acknowledgements, and retransmission with
+exponential backoff plus jitter (:class:`RetryPolicy`). Delivery to the
+application callback is exactly-once and in send order — precisely the
+§1.1 channel — as long as every frame has a nonzero chance of crossing
+eventually.
 
 The transport deliberately mirrors :class:`ReliableFifoChannel`'s
 constructor and surface (``send``/``stats``/``is_up``/``close``) so
@@ -36,193 +32,20 @@ session through a write-ahead log and restores it with
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ChannelError
 from repro.sim.channel import (
+    NO_FAULTS,
     AvailabilitySchedule,
     ChannelStats,
     DelayModel,
+    FaultPlan,
     ReliableFifoChannel,
 )
 from repro.sim.core import EventHandle, Simulator
-
-
-@dataclass(frozen=True)
-class FaultPlan:
-    """What an adversarial link is allowed to do to each frame.
-
-    Attributes:
-        drop_probability: chance a frame vanishes in transit.
-        duplicate_probability: chance a frame is delivered twice (the
-            copy trails the original by an extra sampled delay).
-        reorder_probability: chance a frame skips the FIFO hold-back and
-            races ahead/behind its neighbours by up to *reorder_spread*
-            extra delay.
-        reorder_spread: the extra delay bound for reordered frames.
-        partitions: half-open ``[start, end)`` windows of virtual time
-            during which every frame sent is lost.
-    """
-
-    drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
-    reorder_probability: float = 0.0
-    reorder_spread: float = 4.0
-    partitions: tuple[tuple[float, float], ...] = ()
-
-    def __post_init__(self) -> None:
-        for name in ("drop_probability", "duplicate_probability", "reorder_probability"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0 or (name == "drop_probability" and p >= 1.0):
-                raise ChannelError(f"{name}={p} out of range (drop must be < 1 for liveness)")
-        if self.reorder_spread < 0:
-            raise ChannelError(f"negative reorder_spread {self.reorder_spread}")
-        previous_end = -math.inf
-        for start, end in self.partitions:
-            if end <= start or start < previous_end:
-                raise ChannelError(f"partitions must be disjoint and increasing: {self.partitions}")
-            previous_end = end
-
-    @property
-    def is_benign(self) -> bool:
-        return (
-            self.drop_probability == 0.0
-            and self.duplicate_probability == 0.0
-            and self.reorder_probability == 0.0
-            and not self.partitions
-        )
-
-    def partitioned_at(self, time: float) -> bool:
-        return any(start <= time < end for start, end in self.partitions)
-
-    def next_heal(self, time: float) -> float:
-        """Earliest instant >= *time* outside every partition window."""
-        for start, end in self.partitions:
-            if start <= time < end:
-                return end
-        return time
-
-
-#: The do-nothing plan: a LossyChannel under NO_FAULTS behaves exactly
-#: like a ReliableFifoChannel.
-NO_FAULTS = FaultPlan()
-
-
-class LossyChannel(ReliableFifoChannel):
-    """A unidirectional channel that honours a :class:`FaultPlan`.
-
-    With :data:`NO_FAULTS` this is byte-for-byte a
-    :class:`ReliableFifoChannel`; each fault knob breaks exactly one of
-    the §1.1 assumptions, which is what the resilience layer exists to
-    repair.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        deliver: Callable[[Any], None],
-        delay: DelayModel | float = 0.0,
-        availability: Optional[AvailabilitySchedule] = None,
-        rng: Optional[random.Random] = None,
-        name: str = "lossy",
-        on_send: Optional[Callable[["ReliableFifoChannel", Any], None]] = None,
-        faults: Optional[FaultPlan] = None,
-    ) -> None:
-        super().__init__(
-            sim, deliver, delay=delay, availability=availability, rng=rng,
-            name=name, on_send=on_send,
-        )
-        self.faults = faults or NO_FAULTS
-        self.frames_dropped = 0
-        self.frames_duplicated = 0
-        self.frames_reordered = 0
-
-    @property
-    def is_up(self) -> bool:
-        return super().is_up and not self.faults.partitioned_at(self._sim.now)
-
-    def next_up_time(self) -> float:
-        time = self._availability.next_up(self._sim.now)
-        return self.faults.next_heal(time)
-
-    def send(self, message: Any) -> float:
-        if self._closed:
-            raise ChannelError(f"send on closed channel {self.name!r}")
-        now = self._sim.now
-        self.stats.messages_sent += 1
-        if self._on_send is not None:
-            self._on_send(self, message)
-        ordinal = self.stats.messages_sent
-        instruments = self._sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "channel_messages_total", channel=self.name
-                ).inc()
-            if instruments.tracer is not None:
-                instruments.tracer.emit(
-                    now, "msg.send", self.name, channel=self.name, n=ordinal
-                )
-        # One rng draw per knob per frame, always, so that toggling one
-        # fault never perturbs the stream feeding the others.
-        r_drop = self._rng.random()
-        r_reorder = self._rng.random()
-        r_dup = self._rng.random()
-        plan = self.faults
-        if plan.partitioned_at(now) or r_drop < plan.drop_probability:
-            self.frames_dropped += 1
-            if instruments is not None and instruments.tracer is not None:
-                instruments.tracer.emit(
-                    now, "msg.drop", self.name, channel=self.name, n=ordinal
-                )
-            if instruments is not None and instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "channel_frames_dropped_total", channel=self.name
-                ).inc()
-            return now
-        start = self._availability.next_up(now)
-        deliver_at = start + self._delay.sample(self._rng)
-        if r_reorder < plan.reorder_probability:
-            # Escape the FIFO hold-back: this frame's delivery time is
-            # independent of its predecessors', so it can overtake them.
-            deliver_at += self._rng.uniform(0.0, plan.reorder_spread)
-            self.frames_reordered += 1
-        else:
-            deliver_at = max(deliver_at, self._last_delivery)
-            self._last_delivery = deliver_at
-        self._schedule_delivery(deliver_at, message, now, ordinal)
-        if r_dup < plan.duplicate_probability:
-            self.frames_duplicated += 1
-            extra = self._delay.sample(self._rng) + 1e-9
-            self._schedule_delivery(deliver_at + extra, message, now, ordinal)
-        return deliver_at
-
-    def _schedule_delivery(
-        self, deliver_at: float, message: Any, send_time: float, ordinal: int = 0
-    ) -> None:
-        self._pending += 1
-        self.stats.max_queue_length = max(self.stats.max_queue_length, self._pending)
-
-        def fire() -> None:
-            self._pending -= 1
-            self.stats.messages_delivered += 1
-            self.stats.total_delay += self._sim.now - send_time
-            tracer = self._sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    self._sim.now,
-                    "msg.recv",
-                    self.name,
-                    channel=self.name,
-                    n=ordinal,
-                    latency=self._sim.now - send_time,
-                )
-            self._deliver(message)
-
-        self._sim.schedule_at(deliver_at, fire)
 
 
 @dataclass(frozen=True)
@@ -279,9 +102,10 @@ class ResilientTransport:
 
     One instance is one *direction*: ``send()`` is called at the sender
     end, *deliver* fires at the receiver end. Internally it owns two
-    :class:`LossyChannel` wires — DATA frames sender->receiver and ACK
-    frames receiver->sender — both subject to the same :class:`FaultPlan`
-    (independent rng streams).
+    :class:`ReliableFifoChannel` wires — DATA frames sender->receiver and
+    ACK frames receiver->sender — both driven by the same
+    :class:`FaultPlan` (independent rng streams). Without *faults* the
+    wires run under :data:`NO_FAULTS`.
 
     Protocol: every message gets a sequence number; the receiver delivers
     in sequence order, buffering out-of-order arrivals, and acknowledges
@@ -306,7 +130,6 @@ class ResilientTransport:
         availability: Optional[AvailabilitySchedule] = None,
         rng: Optional[random.Random] = None,
         name: str = "resilient",
-        on_send: Optional[Callable[["ResilientTransport", Any], None]] = None,
         faults: Optional[FaultPlan] = None,
         retry: Optional[RetryPolicy] = None,
         sender_up: Optional[Callable[[], bool]] = None,
@@ -317,7 +140,6 @@ class ResilientTransport:
         self._rng = rng or random.Random(0)
         self.name = name
         self.retry = retry or RetryPolicy()
-        self._on_send = on_send
         self._sender_up = sender_up or (lambda: True)
         self._receiver_up = receiver_up or (lambda: True)
         self._closed = False
@@ -325,13 +147,13 @@ class ResilientTransport:
         # schedule deterministic per direction.
         data_rng = random.Random(self._rng.getrandbits(48))
         ack_rng = random.Random(self._rng.getrandbits(48))
-        self._wire_data = LossyChannel(
+        self._wire_data = ReliableFifoChannel(
             sim, self._on_data_frame, delay=delay, availability=availability,
-            rng=data_rng, name=f"{name}:data", faults=faults,
+            rng=data_rng, name=f"{name}:data", faults=faults or NO_FAULTS,
         )
-        self._wire_ack = LossyChannel(
+        self._wire_ack = ReliableFifoChannel(
             sim, self._on_ack_frame, delay=delay, availability=availability,
-            rng=ack_rng, name=f"{name}:ack", faults=faults,
+            rng=ack_rng, name=f"{name}:ack", faults=faults or NO_FAULTS,
         )
         # Sender-side session state (volatile; journalled by the WAL layer).
         self._next_seq = 0
@@ -377,8 +199,6 @@ class ResilientTransport:
         self.stats.max_queue_length = max(self.stats.max_queue_length, len(self._unacked))
         if self.on_assign is not None:
             self.on_assign(seq, message)
-        if self._on_send is not None:
-            self._on_send(self, message)
         eta = self._transmit(seq, message)
         self._arm_timer()
         return eta
@@ -531,9 +351,6 @@ class ResilientTransport:
 
 
 __all__ = [
-    "FaultPlan",
-    "NO_FAULTS",
-    "LossyChannel",
     "RetryPolicy",
     "TransportStats",
     "ResilientTransport",

@@ -2,8 +2,8 @@
 
 This package is self-contained (no dependency on the DSM layers) and
 provides: the event-loop kernel (:mod:`repro.sim.core`), logical clocks
-(:mod:`repro.sim.clock`), reliable FIFO channels with delay and
-availability models (:mod:`repro.sim.channel`), a per-system network fabric
+(:mod:`repro.sim.clock`), reliable FIFO channels with delay, availability
+and fault models (:mod:`repro.sim.channel`), a per-system network fabric
 with traffic accounting (:mod:`repro.sim.network`), and seeded RNG
 derivation (:mod:`repro.sim.rng`).
 """
@@ -29,7 +29,6 @@ from repro.sim.core import (
 from repro.sim.network import Network, SendRecord
 from repro.sim.process import SimProcess
 from repro.sim.rng import derive
-from repro.sim.unreliable import DuplicatingChannel, ReorderingChannel
 
 __all__ = [
     "Simulator",
@@ -52,6 +51,4 @@ __all__ = [
     "SendRecord",
     "SimProcess",
     "derive",
-    "ReorderingChannel",
-    "DuplicatingChannel",
 ]

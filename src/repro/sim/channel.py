@@ -11,14 +11,22 @@ modelled here:
 * Availability: an :class:`AvailabilitySchedule` says when the link is up;
   a message sent while the link is down starts transmission at the next
   up-time.
+
+The same channel, given a :class:`FaultPlan`, breaks those assumptions on
+purpose: it drops, duplicates and reorders frames, and loses whatever is
+sent during a partition window (unlike the queue-and-drain semantics of an
+availability schedule). The resilience layer rebuilds the §1.1 contract on
+top of such a wire; experiment X7 shows what breaks without it. All fault
+decisions flow through the channel's seeded rng, so a failing schedule
+replays exactly.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from repro.errors import ChannelError
 from repro.sim.core import Simulator
@@ -168,12 +176,79 @@ class ChannelStats:
         return self.total_delay / self.messages_delivered
 
 
-class ReliableFifoChannel:
-    """A unidirectional reliable FIFO channel.
+@dataclass(frozen=True)
+class FaultPlan:
+    """What an adversarial link is allowed to do to each frame.
 
-    Messages are delivered by invoking *deliver* with the payload. Delivery
-    order always equals send order: even if a later message samples a
-    shorter delay, it is held back behind its predecessors.
+    Attributes:
+        drop_probability: chance a frame vanishes in transit.
+        duplicate_probability: chance a frame is delivered twice (the
+            copy trails the original by an extra sampled delay).
+        reorder_probability: chance a frame skips the FIFO hold-back and
+            races ahead/behind its neighbours by up to *reorder_spread*
+            extra delay.
+        reorder_spread: the extra delay bound for reordered frames.
+        partitions: half-open ``[start, end)`` windows of virtual time
+            during which every frame sent is lost.
+    """
+
+    drop_probability: float = 0.0
+    duplicate_probability: float = 0.0
+    reorder_probability: float = 0.0
+    reorder_spread: float = 4.0
+    partitions: tuple[tuple[float, float], ...] = ()
+
+    def __post_init__(self) -> None:
+        for name in ("drop_probability", "duplicate_probability", "reorder_probability"):
+            p = getattr(self, name)
+            if not 0.0 <= p <= 1.0 or (name == "drop_probability" and p >= 1.0):
+                raise ChannelError(f"{name}={p} out of range (drop must be < 1 for liveness)")
+        if self.reorder_spread < 0:
+            raise ChannelError(f"negative reorder_spread {self.reorder_spread}")
+        previous_end = -math.inf
+        for start, end in self.partitions:
+            if end <= start or start < previous_end:
+                raise ChannelError(f"partitions must be disjoint and increasing: {self.partitions}")
+            previous_end = end
+
+    @property
+    def is_benign(self) -> bool:
+        return (
+            self.drop_probability == 0.0
+            and self.duplicate_probability == 0.0
+            and self.reorder_probability == 0.0
+            and not self.partitions
+        )
+
+    def partitioned_at(self, time: float) -> bool:
+        return any(start <= time < end for start, end in self.partitions)
+
+    def next_heal(self, time: float) -> float:
+        """Earliest instant >= *time* outside every partition window."""
+        for start, end in self.partitions:
+            if start <= time < end:
+                return end
+        return time
+
+
+#: The do-nothing plan. A channel under NO_FAULTS delivers exactly like
+#: one with no plan, but still makes the per-frame fault draws.
+NO_FAULTS = FaultPlan()
+
+
+class ReliableFifoChannel:
+    """A unidirectional FIFO channel, reliable unless given a fault plan.
+
+    Messages are delivered by invoking *deliver* with the payload. With
+    no *faults* (the §1.1 channel) delivery order always equals send
+    order: even if a later message samples a shorter delay, it is held
+    back behind its predecessors.
+
+    A :class:`FaultPlan` turns the channel into an adversarial wire:
+    frames may be dropped, duplicated or reordered, and frames sent
+    during a partition window are lost. Each knob breaks exactly one of
+    the §1.1 assumptions, which is what the resilience layer repairs and
+    what experiment X7 shows to be necessary.
     """
 
     def __init__(
@@ -184,7 +259,7 @@ class ReliableFifoChannel:
         availability: AvailabilitySchedule | None = None,
         rng: random.Random | None = None,
         name: str = "channel",
-        on_send: Callable[["ReliableFifoChannel", Any], None] | None = None,
+        faults: FaultPlan | None = None,
     ) -> None:
         self._sim = sim
         self._deliver = deliver
@@ -195,35 +270,34 @@ class ReliableFifoChannel:
         self._closed = False
         self._pending = 0
         self.name = name
+        self.faults = faults
         self.stats = ChannelStats()
-        self._on_send = on_send
+        self.frames_dropped = 0
+        self.frames_duplicated = 0
+        self.frames_reordered = 0
 
     @property
     def is_up(self) -> bool:
-        return self._availability.is_up(self._sim.now)
+        now = self._sim.now
+        plan = self.faults or NO_FAULTS
+        return self._availability.is_up(now) and not plan.partitioned_at(now)
 
     def next_up_time(self) -> float:
         """Earliest instant >= now at which the link is up."""
-        return self._availability.next_up(self._sim.now)
+        plan = self.faults or NO_FAULTS
+        return plan.next_heal(self._availability.next_up(self._sim.now))
 
     def send(self, message: Any) -> float:
         """Send *message*; returns the scheduled delivery time.
 
-        If the link is down, transmission begins at the next up-time. The
-        message is never lost (reliability).
+        If the link is down, transmission begins at the next up-time.
+        Without a fault plan the message is never lost (reliability); a
+        frame the plan drops returns the current time.
         """
         if self._closed:
             raise ChannelError(f"send on closed channel {self.name!r}")
         now = self._sim.now
-        start = self._availability.next_up(now)
-        deliver_at = max(start + self._delay.sample(self._rng), self._last_delivery)
-        self._last_delivery = deliver_at
         self.stats.messages_sent += 1
-        self._pending += 1
-        self.stats.max_queue_length = max(self.stats.max_queue_length, self._pending)
-        if self._on_send is not None:
-            self._on_send(self, message)
-        send_time = now
         ordinal = self.stats.messages_sent
         instruments = self._sim.instruments
         if instruments is not None:
@@ -235,6 +309,47 @@ class ReliableFifoChannel:
                 instruments.tracer.emit(
                     now, "msg.send", self.name, channel=self.name, n=ordinal
                 )
+        plan = self.faults
+        if plan is not None:
+            # Under a plan every frame costs one rng draw per knob, even
+            # when the plan is benign, so toggling one fault never perturbs
+            # the stream feeding the others. Without a plan (the §1.1
+            # channel) the delay is the only draw.
+            r_drop, r_reorder, r_dup = self._rng.random(), self._rng.random(), self._rng.random()
+            if plan.partitioned_at(now) or r_drop < plan.drop_probability:
+                self.frames_dropped += 1
+                self._sim.trace("msg.drop", self.name, channel=self.name, n=ordinal)
+                if self._sim.metrics is not None:
+                    self._sim.metrics.counter(
+                        "channel_frames_dropped_total", channel=self.name
+                    ).inc()
+                return now
+        deliver_at = self._availability.next_up(now) + self._delay.sample(self._rng)
+        tag = f"chan:{self.name}"
+        if plan is not None and r_reorder < plan.reorder_probability:
+            # Escape the FIFO hold-back: this frame's delivery time is
+            # independent of its predecessors', so it can overtake them.
+            deliver_at += self._rng.uniform(0.0, plan.reorder_spread)
+            self.frames_reordered += 1
+            tag = f"{tag}#{ordinal}"
+        else:
+            deliver_at = max(deliver_at, self._last_delivery)
+            self._last_delivery = deliver_at
+        self._schedule_delivery(deliver_at, message, now, ordinal, tag)
+        if plan is not None and r_dup < plan.duplicate_probability:
+            self.frames_duplicated += 1
+            extra = self._delay.sample(self._rng) + 1e-9
+            self._schedule_delivery(
+                deliver_at + extra, message, now, ordinal,
+                f"chan:{self.name}#dup{self.frames_duplicated}",
+            )
+        return deliver_at
+
+    def _schedule_delivery(
+        self, deliver_at: float, message: Any, send_time: float, ordinal: int, tag: str
+    ) -> None:
+        self._pending += 1
+        self.stats.max_queue_length = max(self.stats.max_queue_length, self._pending)
 
         def fire() -> None:
             self._pending -= 1
@@ -252,12 +367,12 @@ class ReliableFifoChannel:
                 )
             self._deliver(message)
 
-        # Tagged with the channel name: deliveries of one channel direction
-        # form one scheduling domain, so a SchedulerPolicy can interleave
-        # them against other components but never reorder them against
-        # each other (FIFO is part of the channel's contract).
-        self._sim.schedule_at(deliver_at, fire, tag=f"chan:{self.name}")
-        return deliver_at
+        # The tag is the scheduling domain: FIFO deliveries of one channel
+        # direction share one, so a SchedulerPolicy can interleave them
+        # against other components but never reorder them against each
+        # other (FIFO is part of the channel's contract). Reordered and
+        # duplicate frames are unordered by design and get a tag each.
+        self._sim.schedule_at(deliver_at, fire, tag=tag)
 
     def close(self) -> None:
         """Refuse further sends. In-flight messages still deliver."""
@@ -276,6 +391,8 @@ __all__ = [
     "AlwaysUp",
     "UpWindows",
     "PeriodicAvailability",
+    "FaultPlan",
+    "NO_FAULTS",
     "ReliableFifoChannel",
     "ChannelStats",
 ]

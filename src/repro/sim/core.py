@@ -281,6 +281,10 @@ class Simulator:
         """The events a policy may currently choose among: pending events
         at the minimal timestamp, reduced to the earliest per tag group
         (untagged events form one conservative group), sorted by seq."""
+        return [EnabledEvent(event.time, event.seq, event.tag) for event in self._candidates()]
+
+    def _candidates(self) -> list[_ScheduledEvent]:
+        """The heap entries behind :meth:`enabled_events`."""
         head = self._peek()
         if head is None:
             return []
@@ -292,22 +296,12 @@ class Simulator:
             held = groups.get(event.tag)
             if held is None or event.seq < held.seq:
                 groups[event.tag] = event
-        chosen = sorted(groups.values(), key=lambda event: event.seq)
-        return [EnabledEvent(event.time, event.seq, event.tag) for event in chosen]
+        return sorted(groups.values(), key=lambda event: event.seq)
 
     def _policy_step(self) -> bool:
-        head = self._peek()
-        if head is None:
+        candidates = self._candidates()
+        if not candidates:
             return False
-        now_time = head.time
-        groups: dict[Optional[str], _ScheduledEvent] = {}
-        for event in self._queue:
-            if event.cancelled or event.taken or event.time != now_time:
-                continue
-            held = groups.get(event.tag)
-            if held is None or event.seq < held.seq:
-                groups[event.tag] = event
-        candidates = sorted(groups.values(), key=lambda event: event.seq)
         if len(candidates) == 1:
             chosen = candidates[0]
         else:

@@ -11,6 +11,8 @@ Each assumption is broken in isolation:
   hardening restores exactly-once semantics and causality.
 """
 
+import functools
+
 import pytest
 
 from repro.checker import check_causal
@@ -20,10 +22,20 @@ from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import get
-from repro.sim.channel import UniformDelay
+from repro.sim.channel import FaultPlan, ReliableFifoChannel, UniformDelay
 from repro.sim.core import Simulator
-from repro.sim.unreliable import DuplicatingChannel, ReorderingChannel
 from repro.workloads.scenarios import poll_until, run_until_quiescent
+
+
+#: Reliable but NOT FIFO: every frame escapes the hold-back, with no
+#: extra spread beyond its own sampled delay.
+REORDERING = functools.partial(
+    ReliableFifoChannel, faults=FaultPlan(reorder_probability=1.0, reorder_spread=0.0)
+)
+#: FIFO and loss-free, but at-least-once: half the frames arrive twice.
+DUPLICATING = functools.partial(
+    ReliableFifoChannel, faults=FaultPlan(duplicate_probability=0.5)
+)
 
 
 def build_pair(channel_factory, seed=0, delay=1.0, dedup=False):
@@ -43,7 +55,7 @@ class TestReorderingChannel:
         """w(x)v then w(y)u causally ordered in S0; the observer in S1
         reads y=u then x — reordered pairs let it see u without v."""
         sim, recorder, s0, s1, bridge = build_pair(
-            ReorderingChannel, seed=seed, delay=UniformDelay(0.1, 12.0)
+            REORDERING, seed=seed, delay=UniformDelay(0.1, 12.0)
         )
         s0.add_application("A", [Sleep(1.0), Write("x", "v")])
         s0.add_application(
@@ -67,8 +79,6 @@ class TestReorderingChannel:
         assert not all(verdicts), "reordering never produced the inversion"
 
     def test_fifo_channel_never_violates(self):
-        from repro.sim.channel import ReliableFifoChannel
-
         def fifo_scenario(seed):
             sim, recorder, s0, s1, _ = build_pair(
                 ReliableFifoChannel, seed=seed, delay=UniformDelay(0.1, 12.0)
@@ -96,7 +106,7 @@ class TestReorderingChannel:
 class TestDuplicatingChannel:
     def run_duplicating(self, dedup, seed=0):
         sim, recorder, s0, s1, bridge = build_pair(
-            DuplicatingChannel, seed=seed, dedup=dedup
+            DUPLICATING, seed=seed, dedup=dedup
         )
         s0.add_application(
             "A", [Write("x", "one"), Sleep(2.0), Write("y", "two"), Sleep(2.0), Write("x", "three")]
@@ -107,13 +117,13 @@ class TestDuplicatingChannel:
 
     def test_duplicates_injected(self):
         history, bridge = self.run_duplicating(dedup=True, seed=3)
-        assert bridge.channel_ab.duplicates_injected > 0
+        assert bridge.channel_ab.frames_duplicated > 0
 
     def test_naive_propagate_in_breaks_value_uniqueness(self):
         found_breakage = False
         for seed in range(8):
             history, bridge = self.run_duplicating(dedup=False, seed=seed)
-            if bridge.channel_ab.duplicates_injected == 0:
+            if bridge.channel_ab.frames_duplicated == 0:
                 continue
             with pytest.raises(CheckerError, match="written twice"):
                 history.for_system("S1").validate()
@@ -127,7 +137,7 @@ class TestDuplicatingChannel:
             history.for_system("S1").validate()  # no double writes
             verdict = check_causal(history.without_interconnect())
             assert verdict.ok
-            if bridge.channel_ab.duplicates_injected:
+            if bridge.channel_ab.frames_duplicated:
                 assert bridge.isp_b.duplicates_dropped > 0
 
     def test_values_still_arrive_with_dedup(self):

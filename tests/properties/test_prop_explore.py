@@ -89,6 +89,11 @@ class TestDependence:
         assert dependent("chan:S0:a->b", "proc:b", {})
         assert not dependent("chan:S0:a->b", "proc:a", {})
 
+    def test_per_frame_tags_target_the_channel_destination(self):
+        assert target_of("chan:S0:a->b#3", {}) == "b"
+        assert target_of("chan:S0:a->b#dup1", {}) == "b"
+        assert dependent("chan:S0:a->b#3", "chan:S0:a->b", {})
+
     def test_aliases_fold_isp_into_its_mcs(self):
         aliases = {"isp:S0": "S0/mcs:~isp:S0"}
         assert dependent(

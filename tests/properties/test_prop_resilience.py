@@ -8,9 +8,9 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.resilience.transport import FaultPlan, ResilientTransport, RetryPolicy
+from repro.resilience.transport import ResilientTransport, RetryPolicy
 from repro.resilience.wal import ACKED, ISSUED, RECV, SENT, WalRecord, WriteAheadLog
-from repro.sim.channel import UniformDelay
+from repro.sim.channel import FaultPlan, UniformDelay
 from repro.sim.core import Simulator
 
 fault_plans = st.builds(

@@ -1,10 +1,13 @@
 """Unit tests for reliable FIFO channels, delay models, availability."""
 
+import hashlib
 import random
 
 import pytest
 
 from repro.errors import ChannelError
+from repro.resilience import ResilientTransport
+from repro.resilience.campaign import SCENARIOS
 from repro.sim.channel import (
     AlwaysUp,
     ExponentialDelay,
@@ -164,3 +167,46 @@ class TestAvailability:
         sim.run()
         assert received == list(range(10))
         assert sim.now >= 100.0
+
+
+class TestGoldenStreams:
+    """Pin the channel's rng streams: the sha256 of the ``(sim.now,
+    payload)`` delivery sequence for 60 messages sent 1.7 apart. A
+    change here means every seeded run through the channel replays
+    differently."""
+
+    @staticmethod
+    def delivery_digest(build):
+        sim = Simulator()
+        deliveries = []
+        channel = build(sim, lambda payload: deliveries.append((sim.now, payload)))
+        for index in range(60):
+            sim.schedule(index * 1.7, lambda index=index: channel.send(index))
+        sim.run()
+        assert [payload for _, payload in deliveries] == list(range(60))
+        return hashlib.sha256(repr(deliveries).encode()).hexdigest()
+
+    def test_plain_channel_one_delay_draw_per_message(self):
+        digest = self.delivery_digest(
+            lambda sim, deliver: ReliableFifoChannel(
+                sim, deliver, delay=UniformDelay(0.5, 6.0), rng=random.Random(7)
+            )
+        )
+        assert digest == "8f1d82f544c32b5eb19a5c474c16e06e107315dd5f33f0c2a05f11a44ff84513"
+
+    def test_resilient_transport_without_faults(self):
+        digest = self.delivery_digest(
+            lambda sim, deliver: ResilientTransport(
+                sim, deliver, delay=UniformDelay(0.5, 6.0), rng=random.Random(7)
+            )
+        )
+        assert digest == "df32ba4a6b7d15aa31ae27f7ac8af5d8feaf3abb59dce41e3e756000f0a7d868"
+
+    def test_resilient_transport_under_combined_plan(self):
+        digest = self.delivery_digest(
+            lambda sim, deliver: ResilientTransport(
+                sim, deliver, delay=UniformDelay(0.5, 6.0), rng=random.Random(7),
+                faults=SCENARIOS["combined"].faults,
+            )
+        )
+        assert digest == "b84d03fb6b0373a0258f9e025805aab5a8e945627eb959b36c4e3419304bd243"

@@ -13,7 +13,8 @@ from repro.interconnect.is_process import PropagatedPair
 from repro.memory.interface import MCSProcess, UpcallHandler
 from repro.memory.recorder import HistoryRecorder
 from repro.resilience.recovery import RecoverableISProcess
-from repro.resilience.transport import FaultPlan, ResilientTransport, RetryPolicy
+from repro.resilience.transport import ResilientTransport, RetryPolicy
+from repro.sim.channel import FaultPlan
 from repro.sim.core import Simulator
 from repro.sim.network import Network
 

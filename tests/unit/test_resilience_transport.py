@@ -1,19 +1,14 @@
 """Unit tests for the resilience layer's transport: fault plans, the
-lossy wire, retry policies, and the exactly-once FIFO session."""
+lossy wire (a ReliableFifoChannel driven by a FaultPlan), retry policies,
+and the exactly-once FIFO session."""
 
 import random
 
 import pytest
 
 from repro.errors import ChannelError
-from repro.resilience.transport import (
-    FaultPlan,
-    LossyChannel,
-    NO_FAULTS,
-    ResilientTransport,
-    RetryPolicy,
-)
-from repro.sim.channel import UniformDelay
+from repro.resilience import NO_FAULTS, FaultPlan, ResilientTransport, RetryPolicy
+from repro.sim.channel import ReliableFifoChannel, UniformDelay
 from repro.sim.core import Simulator
 
 
@@ -66,12 +61,14 @@ class TestFaultPlan:
 
 
 class TestLossyChannel:
+    """The lossy wire: a ReliableFifoChannel driven by a FaultPlan."""
+
     def test_no_faults_matches_reliable_fifo(self):
         sim = Simulator()
         received = []
-        channel = LossyChannel(
+        channel = ReliableFifoChannel(
             sim, deliver=received.append, delay=UniformDelay(0.0, 5.0),
-            rng=random.Random(3),
+            rng=random.Random(3), faults=NO_FAULTS,
         )
         for index in range(40):
             channel.send(index)
@@ -83,7 +80,7 @@ class TestLossyChannel:
     def test_partition_window_loses_frames(self):
         sim = Simulator()
         received = []
-        channel = LossyChannel(
+        channel = ReliableFifoChannel(
             sim, deliver=received.append, delay=1.0,
             faults=FaultPlan(partitions=((10.0, 20.0),)),
         )
@@ -96,7 +93,7 @@ class TestLossyChannel:
 
     def test_is_up_and_next_up_time_include_partitions(self):
         sim = Simulator()
-        channel = LossyChannel(
+        channel = ReliableFifoChannel(
             sim, deliver=lambda m: None,
             faults=FaultPlan(partitions=((10.0, 20.0),)),
         )
@@ -114,7 +111,7 @@ class TestLossyChannel:
     def test_certain_duplication_delivers_twice(self):
         sim = Simulator()
         received = []
-        channel = LossyChannel(
+        channel = ReliableFifoChannel(
             sim, deliver=received.append, delay=1.0,
             rng=random.Random(0),
             faults=FaultPlan(duplicate_probability=1.0),
@@ -128,7 +125,7 @@ class TestLossyChannel:
     def test_reordering_escapes_fifo_holdback(self):
         sim = Simulator()
         received = []
-        channel = LossyChannel(
+        channel = ReliableFifoChannel(
             sim, deliver=received.append, delay=UniformDelay(0.0, 8.0),
             rng=random.Random(2),
             faults=FaultPlan(reorder_probability=1.0, reorder_spread=20.0),
@@ -145,7 +142,7 @@ class TestLossyChannel:
 
         def dropped_with(plan):
             sim = Simulator()
-            channel = LossyChannel(
+            channel = ReliableFifoChannel(
                 sim, deliver=lambda m: None, delay=1.0,
                 rng=random.Random(11), faults=plan,
             )
