@@ -98,6 +98,15 @@ class ExploreResult:
     exhausted: bool = False  #: the whole (reduced) tree fit in the budget
     violations: list[Counterexample] = field(default_factory=list)
     max_decisions_seen: int = 0
+    #: Recorder signatures of the complete interleavings: per-process
+    #: operation sequences with the values read. Parallel workers return
+    #: theirs, so the merged set does not depend on the worker count.
+    terminal_histories: set[tuple] = field(default_factory=set)
+
+    @property
+    def distinct_histories(self) -> int:
+        """Distinct terminal histories reached: the search's coverage."""
+        return len(self.terminal_histories)
 
     @property
     def runs(self) -> int:
@@ -118,7 +127,8 @@ class ExploreResult:
             f"[{self.scenario}] {self.explored} interleavings explored, "
             f"{self.pruned_sleep + self.pruned_fingerprint} pruned "
             f"({self.pruned_sleep} sleep-set, {self.pruned_fingerprint} "
-            f"fingerprint), {outcome}: {verdict}"
+            f"fingerprint), {self.distinct_histories} distinct terminal "
+            f"histories, {outcome}: {verdict}"
         )
 
 
@@ -346,6 +356,7 @@ def _dfs(
             )
             if policy.truncated:
                 outcome.truncated += 1
+            outcome.terminal_histories.add(result.recorder.signature())
             verdict = _verdict(result, check_theorem1)
             if not verdict.ok:
                 logger.info(
@@ -403,7 +414,7 @@ def _dfs(
 def _emit_metrics(
     metrics, outcome: ExploreResult, scenario: str, elapsed: float
 ) -> None:
-    """Per-outcome run counters plus the throughput gauge.
+    """Per-outcome run counters plus the coverage and throughput gauges.
 
     ``explored`` counts runs that completed *within* the decision budget;
     truncated runs get their own outcome label so the counters partition
@@ -425,6 +436,9 @@ def _emit_metrics(
     ).inc(outcome.pruned_fingerprint)
     metrics.counter("explore_violations_total", scenario=scenario).inc(
         len(outcome.violations)
+    )
+    metrics.gauge("explore_distinct_histories", scenario=scenario).set(
+        outcome.distinct_histories
     )
     rate = outcome.runs / elapsed if elapsed > 0 else 0.0
     metrics.gauge("explore_runs_per_second", scenario=scenario).set(rate)

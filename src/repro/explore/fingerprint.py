@@ -1,156 +1,53 @@
-"""Canonical state fingerprints for exploration pruning.
+"""State fingerprints for exploration pruning.
 
 Two interleavings that reach the *same* global state have the same future:
 the explorer only needs to expand one of them. "Same state" here means
+equal keys for
 
-* the replica contents and protocol metadata of every MCS-process,
-* the in-flight messages (as the kernel's schedule-independent pending
-  signature plus per-channel counters),
-* the IS-processes' propagation state (write queues, outboxes, counters),
-* every application driver's progress, and
-* the per-process sequences of recorded operations — the verdict is a
-  function of the history, so a state may only be merged with an earlier
-  one if their observable pasts agree as well.
+* every MCS-process (:meth:`repro.memory.interface.MCSProcess.state_key`:
+  clock, store, buffers, counters, queued missed upcalls),
+* every application driver (progress, blocking, and its program
+  position ``commands_issued``),
+* every IS-process (write queue, counters, seen pairs, and per peer the
+  outbox, counters and the channel's own key),
+* the in-flight events, as the kernel's schedule-independent pending
+  ``(time, tag)`` signature, and
+* the per-process sequences of recorded operations
+  (:meth:`repro.memory.recorder.HistoryRecorder.signature`): the verdict
+  is a function of the history, so a state may only be merged with an
+  earlier one if their observable pasts agree as well.
 
-Sequence numbers, wall-clock-ish quantities and object identities are
-excluded: they differ between interleavings that are otherwise
-equivalent. The canonicalisation (:func:`freeze`) is structural and
-generic — protocols do not need to cooperate. Anything it cannot
-represent stably collapses to a type marker, which makes the fingerprint
-*coarser*: more distinct states compare equal, so more runs are merged,
-and a wrong merge prunes a subtree that was never explored. Coarseness
-is therefore the unsound direction. All in-tree protocols keep plain data
-attributes, but state that hides behind a callable is under-fingerprinted
-— notably the payloads of in-flight channel deliveries, which live only
-in the scheduled delivery closures.
+**Key contract.** Each component returns a flat tuple of immutable values
+that hash and compare by value, and the fingerprint hashes the tuple of
+all keys in a fixed order (systems and processes sorted by name), so
+parts are positional. Constant identity fields (names, indices, event
+tags) are left out for that reason. Sequence numbers and object
+identities that differ between equivalent interleavings are left out
+too. A component that defines no key makes :func:`state_fingerprint`
+raise (``MCSProcess.state_key`` raises :class:`NotImplementedError`; a
+link object without ``state_key`` raises :class:`AttributeError`)
+instead of being silently skipped.
+
+**Soundness.** A key that omits a field which influences the future is
+*coarser*: states that differ in that field compare equal, so *more*
+runs are merged, and a wrong merge prunes a subtree that was never
+explored. Coarseness is therefore the unsound direction; a key that is
+too fine only costs pruning. The explorer's coverage oracle
+(``tests/integration/test_explore_coverage.py``) pins the set of
+distinct terminal histories of the default search to that of
+sleep-set-only search, which keeps no fingerprints at all. That oracle
+is how the driver's program position got into the key: without it, a
+driver with a read response pending and one with the follow-up ``Sleep``
+pending compared equal, and faulty-fifo reached 5 of its 79 terminal
+histories. Payloads of in-flight deliveries live in the scheduled
+delivery closures and are not keyed; the oracle holds without them.
 """
 
 from __future__ import annotations
 
-import logging
-import random
-from collections import deque
 from typing import Any, Iterable
 
-from repro.memory.history import History
-from repro.memory.recorder import HistoryRecorder
 from repro.obs.profile import profiled
-from repro.sim.channel import ReliableFifoChannel
-from repro.sim.core import EventHandle, Simulator
-from repro.sim.network import Network
-
-logger = logging.getLogger(__name__)
-
-#: Attribute names never descended into: backbone references whose state
-#: is captured elsewhere (or not state at all).
-_SKIP_KEYS = frozenset(
-    {
-        "sim",
-        "_sim",
-        "network",
-        "recorder",
-        "upcall_handler",
-        "update_listener",
-        "_deliver",
-        "mcs",
-        "_program",
-        "_think_time",
-    }
-)
-
-_MAX_DEPTH = 14
-
-
-def freeze(value: Any, _depth: int = 0) -> Any:
-    """Canonicalise *value* into a deterministic, repr-stable structure."""
-    if _depth > _MAX_DEPTH:
-        return ("deep", type(value).__name__)
-    if value is None or isinstance(value, (bool, int, float, str, bytes)):
-        return value
-    if isinstance(value, (list, tuple, deque)):
-        return tuple(freeze(item, _depth + 1) for item in value)
-    if isinstance(value, (set, frozenset)):
-        return ("set", tuple(sorted(repr(freeze(item, _depth + 1)) for item in value)))
-    if isinstance(value, dict):
-        if all(type(key) is str for key in value):
-            # Fast path for the overwhelmingly common case: attribute
-            # dicts and str-keyed replica maps sort by key directly.
-            return (
-                "dict",
-                tuple(
-                    (key, freeze(item, _depth + 1))
-                    for key, item in sorted(value.items())
-                ),
-            )
-        return (
-            "dict",
-            tuple(
-                sorted(
-                    (repr(freeze(key, _depth + 1)), freeze(item, _depth + 1))
-                    for key, item in value.items()
-                )
-            ),
-        )
-    if isinstance(value, random.Random):
-        # The generator state determines future delay samples; its full
-        # state is a 600-int tuple, so fold it down with the C-level
-        # tuple hash (fingerprints are in-process only, see
-        # :func:`state_fingerprint`).
-        return ("rng", hash(value.getstate()))
-    if isinstance(value, ReliableFifoChannel):
-        return (
-            "channel",
-            value.name,
-            value.stats.messages_sent,
-            value.stats.messages_delivered,
-            value._last_delivery,  # noqa: SLF001 - deliberate introspection
-            freeze(value._rng, _depth + 1),  # noqa: SLF001
-        )
-    if isinstance(value, (Simulator, Network, HistoryRecorder, EventHandle)):
-        return ("ref", type(value).__name__, getattr(value, "name", ""))
-    if callable(value):
-        return ("fn", getattr(value, "__qualname__", type(value).__name__))
-    state = _object_state(value)
-    if state is None:
-        logger.debug(
-            "opaque value of type %s in fingerprint (no __dict__/__slots__)",
-            type(value).__name__,
-        )
-        return ("opaque", type(value).__name__)
-    filtered = {
-        key: item for key, item in state.items() if key not in _SKIP_KEYS
-    }
-    return (type(value).__name__, freeze(filtered, _depth + 1))
-
-
-def _object_state(value: Any) -> dict[str, Any] | None:
-    """Attribute dict of *value*, covering ``__dict__`` and ``__slots__``."""
-    state: dict[str, Any] = {}
-    instance_dict = getattr(value, "__dict__", None)
-    if isinstance(instance_dict, dict):
-        state.update(instance_dict)
-    for klass in type(value).__mro__:
-        for slot in getattr(klass, "__slots__", ()) or ():
-            if slot in ("__dict__", "__weakref__"):
-                continue
-            try:
-                state[slot] = getattr(value, slot)
-            except AttributeError:
-                continue
-    if not state and instance_dict is None:
-        return None
-    return state
-
-
-def _history_signature(history: History) -> tuple:
-    """Per-process operation sequences — schedule-independent, unlike the
-    recorder's global completion order."""
-    per_proc: dict[str, list[tuple]] = {}
-    for op in history:
-        per_proc.setdefault(op.proc, []).append(
-            (op.kind.value, op.var, repr(op.value), op.is_interconnect)
-        )
-    return tuple(sorted((proc, tuple(ops)) for proc, ops in per_proc.items()))
 
 
 def _iter_is_processes(result) -> Iterable:
@@ -172,22 +69,21 @@ def state_fingerprint(result) -> int:
     """Fingerprint the global state of a (possibly mid-run) scenario.
 
     *result* is a :class:`repro.workloads.scenarios.ScenarioResult`.
-    Returns ``hash()`` of the canonical frozen state: fingerprints are
-    compared only within one explorer invocation (one process), so the
-    per-process salting of ``hash`` is harmless and the C-level tuple
-    traversal is far cheaper than hashing a repr of the whole state.
+    Returns ``hash()`` of the tuple of component keys: fingerprints are
+    compared only within one explorer invocation (one process and its
+    forked workers), so the per-process salting of ``hash`` is harmless.
     """
     parts: list[Any] = []
     for system in sorted(result.systems, key=lambda s: s.name):
         for mcs in sorted(system.mcs_processes, key=lambda m: m.name):
-            parts.append(("mcs", mcs.name, freeze(mcs)))
+            parts.append(mcs.state_key())
         for app in sorted(system.app_processes, key=lambda a: a.name):
-            parts.append(("app", app.name, app.ops_completed, app.done, app.blocked))
+            parts.append(app.state_key())
     for isp in _iter_is_processes(result):
-        parts.append(("isp", isp.name, freeze(isp)))
-    parts.append(("pending", result.sim.pending_signature()))
-    parts.append(("history", _history_signature(result.recorder.history())))
+        parts.append(isp.state_key())
+    parts.append(result.sim.pending_signature())
+    parts.append(result.recorder.signature())
     return hash(tuple(parts))
 
 
-__all__ = ["freeze", "state_fingerprint"]
+__all__ = ["state_fingerprint"]

@@ -23,13 +23,14 @@ Strategy (deterministic by construction):
 
 Determinism contract: for a fixed scenario and budget, **every field of
 the merged result — explored / pruned / truncated counts, exhaustion,
-and the violation list — is identical for all ``--jobs N`` with N ≥ 2**,
+the violation list and the terminal-history set — is identical for all ``--jobs N`` with N ≥ 2**,
 because neither the bootstrap nor any unit sees N. Single-process mode
 (``--jobs 1``) routes to the classic sequential engine and stays
 bit-for-bit identical to it. Parallel totals may differ from sequential
 totals (cross-subtree fingerprint hits are rediscovered per unit —
-strictly more work, never less coverage), but verdicts and exhaustion
-agree; the CI smoke certifies this on the bridge scenarios.
+strictly more work, never less coverage), but verdicts, exhaustion and,
+for an exhausted search, the distinct terminal histories agree; the CI
+smoke certifies this on the bridge scenarios.
 
 Workers are forked, not spawned: :func:`repro.explore.fingerprint.
 state_fingerprint` uses the interpreter's salted ``hash``, and a forked
@@ -223,6 +224,7 @@ def explore_parallel(
                 outcome.pruned_sleep += unit_outcome.pruned_sleep
                 outcome.truncated += unit_outcome.truncated
                 outcome.violations.extend(unit_outcome.violations)
+                outcome.terminal_histories |= unit_outcome.terminal_histories
                 outcome.max_decisions_seen = max(
                     outcome.max_decisions_seen,
                     unit_outcome.max_decisions_seen,

@@ -2,12 +2,18 @@
 
 A raw counterexample trace from the explorer records *every* decision of
 the failing run, most of which are incidental. Shrinking reduces it along
-three axes:
+four axes:
 
 * trailing default decisions (zeros) are dropped for free — the replay
   policy falls back to candidate 0 beyond its prefix anyway;
 * contiguous chunks are deleted, ddmin-style, halving the chunk size;
-* individual decisions are lowered toward 0 (the canonical choice).
+* individual decisions are lowered toward 0 (the canonical choice);
+* single *events* are dropped from the schedule
+  (:func:`shrink_counterexample` only): the trace is read as the
+  sequence of scheduling tags it picks, one tag is removed, and the rest
+  are picked by tag rather than by index. Deleting an index shifts the
+  meaning of every later one; deleting a tag does not, which is what
+  removes a whole redundant poll loop from a trace.
 
 Every candidate is validated by actually re-running the scenario: a
 candidate is accepted iff the replay still exhibits the original failure
@@ -22,6 +28,8 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import ExplorationError, ReproError
 from repro.explore.engine import Counterexample, run_with_trace
+from repro.explore.policy import TracePolicy
+from repro.sim.core import EnabledEvent
 
 
 def _strip(trace: list[int]) -> list[int]:
@@ -126,6 +134,53 @@ def shrink_trace(
     return best
 
 
+class _TagPolicy(TracePolicy):
+    """Pick, at each decision, the candidate carrying the next wanted tag;
+    raise :class:`ExplorationError` if it is not enabled."""
+
+    def __init__(self, tags: Sequence[Optional[str]]) -> None:
+        super().__init__()
+        self.wanted = list(tags)
+
+    def _default_choice(
+        self, position: int, candidates: Sequence[EnabledEvent]
+    ) -> int:
+        if position >= len(self.wanted):
+            return 0
+        for index, candidate in enumerate(candidates):
+            if candidate.tag == self.wanted[position]:
+                return index
+        raise ExplorationError(f"tag {self.wanted[position]!r} not enabled")
+
+
+def _replay(factory: Callable[[], "object"], policy: TracePolicy, max_steps: int) -> None:
+    result = factory()
+    result.sim.policy = policy
+    result.sim.run(max_events=max_steps)
+
+
+def _drop_one_event(
+    trace: list[int],
+    failing: Callable[[Sequence[int]], bool],
+    factory: Callable[[], "object"],
+    max_steps: int,
+) -> Optional[list[int]]:
+    """A shorter failing trace that schedules one event fewer, or None."""
+    recorder = TracePolicy(trace)
+    _replay(factory, recorder, max_steps)
+    tags = [point.tags[point.chosen] for point in recorder.decisions[: len(trace)]]
+    for index in range(len(tags)):
+        policy = _TagPolicy(tags[:index] + tags[index + 1 :])
+        try:
+            _replay(factory, policy, max_steps)
+        except ReproError:
+            continue
+        candidate = _strip(policy.trace[: len(policy.wanted)])
+        if len(candidate) < len(trace) and failing(candidate):
+            return candidate
+    return None
+
+
 def shrink_counterexample(
     counterexample: Counterexample,
     factory: Optional[Callable[[], "object"]] = None,
@@ -165,6 +220,8 @@ def shrink_counterexample(
     trace = shrink_trace(
         counterexample.trace, failing, max_attempts=max_attempts
     )
+    while (shorter := _drop_one_event(trace, failing, factory, max_steps)) is not None:
+        trace = shrink_trace(shorter, failing, max_attempts=max_attempts)
     _, verdict = run_with_trace(
         factory, trace, max_steps=max_steps, check_theorem1=check_theorem1
     )

@@ -58,6 +58,15 @@ class _PeerLink:
     outbox: list = field(default_factory=list)
     flush_scheduled: bool = False
 
+    def state_key(self) -> tuple:
+        return (
+            tuple(self.outbox),
+            self.pairs_sent,
+            self.pairs_received,
+            self.flush_scheduled,
+            self.channel.state_key(),
+        )
+
 
 class ISProcess(SimProcess, UpcallHandler):
     """One IS-process, running the IS-protocol of its system's side."""
@@ -135,6 +144,21 @@ class ISProcess(SimProcess, UpcallHandler):
         """(pairs sent, pairs received) on the link to *peer_name*."""
         link = self._peers[peer_name]
         return link.pairs_sent, link.pairs_received
+
+    def state_key(self) -> tuple:
+        """Propagation state, in the form of :meth:`MCSProcess.state_key`:
+        write queue, counters, seen pairs and every peer link (outbox,
+        counters and the channel's own key)."""
+        return (
+            tuple(self._write_queue),
+            self._writing,
+            frozenset(self._seen_pairs),
+            self.pairs_propagated_out,
+            self.pairs_applied_in,
+            self.pairs_coalesced,
+            self.duplicates_dropped,
+            tuple(link.state_key() for link in self._peers.values()),
+        )
 
     # -- upcall handling (Propagate_out / Pre_Propagate_out) ------------------
 

@@ -25,7 +25,7 @@ explicit care, as discussed in that module.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError, SimulationError
 from repro.memory.operations import OpKind
@@ -36,6 +36,20 @@ from repro.sim.process import SimProcess
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.memory.recorder import HistoryRecorder
+
+
+def callback_names(callbacks: Iterable[Callable[..., Any]]) -> tuple[str, ...]:
+    """State-key form of a protocol's pending response callbacks, in order.
+
+    A callback's qualified name tells an application driver's pending
+    call from an IS-process's (``AppProcess._execute.<locals>...`` vs
+    ``ISProcess._drain_writes.<locals>...``), which is all a state key
+    needs: the closures themselves are not values.
+    """
+    return tuple(
+        getattr(callback, "__qualname__", type(callback).__name__)
+        for callback in callbacks
+    )
 
 
 class UpcallHandler:
@@ -185,6 +199,21 @@ class MCSProcess(SimProcess):
         """Current value of the local replica of *var* (diagnostics)."""
         raise NotImplementedError
 
+    def state_key(self) -> tuple:
+        """Everything about this process that can influence the future.
+
+        A flat tuple of immutable values that hash and compare by value:
+        clock, store, buffers, counters and :attr:`missed_upcalls`. The
+        schedule explorer merges two states whose keys are equal, so a
+        field left out is an unsound merge (see
+        :mod:`repro.explore.fingerprint`). Constant identity fields
+        (``name``, ``proc_index``, ``segment``) may be left out.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} defines no state_key(); the schedule "
+            "explorer cannot fingerprint it"
+        )
+
 
 class AppProcess(SimProcess):
     """Drives a program against an MCS-process and records the operations.
@@ -218,6 +247,8 @@ class AppProcess(SimProcess):
         self._blocked = False
         self.done = False
         self.ops_completed = 0
+        #: Program commands taken so far: the driver's program position.
+        self.commands_issued = 0
         self.response_times: list[float] = []
 
     @staticmethod
@@ -256,7 +287,17 @@ class AppProcess(SimProcess):
             return
         self._execute(command)
 
+    def state_key(self) -> tuple:
+        """The driver's progress; see :meth:`MCSProcess.state_key`.
+
+        ``commands_issued`` separates a driver with a read response
+        pending from one whose follow-up ``Sleep`` is pending: both show
+        the same history and the same pending ``(time, tag)`` events.
+        """
+        return (self.ops_completed, self.done, self._blocked, self.commands_issued)
+
     def _execute(self, command: Any) -> None:
+        self.commands_issued += 1
         if isinstance(command, Sleep):
             self.after(command.duration, lambda: self._advance(None))
         elif isinstance(command, Write):
@@ -324,4 +365,4 @@ class AppProcess(SimProcess):
         )
 
 
-__all__ = ["MCSProcess", "AppProcess", "UpcallHandler"]
+__all__ = ["MCSProcess", "AppProcess", "UpcallHandler", "callback_names"]

@@ -24,6 +24,8 @@ class HistoryRecorder:
         self._ops: list[Operation] = []
         self._op_ids = itertools.count()
         self._seq: dict[str, itertools.count] = defaultdict(itertools.count)
+        self._per_proc: dict[str, list[tuple]] = {}
+        self._signed = 0  # ops already folded into _per_proc
 
     def record(
         self,
@@ -55,6 +57,23 @@ class HistoryRecorder:
     @property
     def count(self) -> int:
         return len(self._ops)
+
+    def signature(self) -> tuple:
+        """Per-process operation sequences, sorted by process name.
+
+        Unlike the completion order of :meth:`history`, this does not
+        depend on how the processes' operations interleaved, so the
+        explorer keys states and counts distinct outcomes with it. Kept
+        incrementally, from the first call on: each call folds in only
+        the operations recorded since the last, and builds no
+        :class:`History`.
+        """
+        for op in itertools.islice(self._ops, self._signed, None):
+            self._per_proc.setdefault(op.proc, []).append(
+                (op.kind.value, op.var, repr(op.value), op.is_interconnect)
+            )
+        self._signed = len(self._ops)
+        return tuple(sorted((proc, tuple(ops)) for proc, ops in self._per_proc.items()))
 
     def history(self) -> History:
         """Snapshot of everything recorded so far."""

@@ -8,11 +8,11 @@ what CI's perf-smoke job runs: fast enough for every push, deterministic
 enough to gate on.
 
 Portability of the gate: raw seconds are meaningless across machines, so
-every report carries a *calibration score* — the wall time of a fixed
-pure-Python workload — and the gate compares calibration-normalized
-times against the committed ``benchmarks/perf_baseline.json``. A checker
-case whose normalized time exceeds the baseline by more than
-:data:`GATE_TOLERANCE` fails the suite.
+every case carries a *calibration score* — the wall time of a fixed
+allocation-free loop run just before its timing round — and the gate
+compares calibration-normalized times against the committed
+``benchmarks/perf_baseline.json``. A checker case whose normalized time
+exceeds the baseline by more than :data:`GATE_TOLERANCE` fails the suite.
 
 The baseline file also records the pre-optimization timings measured on
 the machine that produced it, which is how the report's
@@ -20,8 +20,8 @@ the machine that produced it, which is how the report's
 into a number that survives hardware changes.
 
 The suite additionally *certifies* the parallel explorer: the ``--jobs
-2`` run must reach the same explored/pruned totals, the same exhaustion
-flag and the same verdicts as the sequential engine on the catalogued
+2`` run must reach the same exhaustion flag, the same verdicts and the
+same terminal histories as the sequential engine on the catalogued
 scenario, or the suite fails — determinism is part of the performance
 contract, not a separate test.
 """
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import json
 import platform
+import statistics
 import time
 from pathlib import Path
 from typing import Callable, Optional
@@ -42,39 +43,44 @@ BASELINE_NAME = "perf_baseline.json"
 #: fail beyond +30%), after calibration normalization.
 GATE_TOLERANCE = 1.30
 
+#: Timing rounds of each gated case.
+GATE_ROUNDS = 5
 
-def _best_of(fn: Callable[[], object], rounds: int) -> tuple[float, object]:
-    """Minimum wall time of *rounds* runs of *fn*, plus the last result."""
-    best = float("inf")
+#: Iterations of the calibration loop (about 20 ms on a 2020s x86 core).
+CALIBRATION_LOOPS = 200_000
+
+
+def calibrate() -> float:
+    """Seconds a fixed interpreter-bound loop takes (machine-speed proxy).
+
+    The loop allocates nothing and calls no repository code, so neither
+    the allocator's state nor a change to the program moves it.
+    """
+    started = time.perf_counter()
+    accumulator = 0
+    for i in range(CALIBRATION_LOOPS):
+        accumulator = (accumulator * 31 + i) & 0xFFFFFFF
+    return time.perf_counter() - started
+
+
+def _best_of(fn: Callable[[], object], rounds: int) -> tuple[float, float, object]:
+    """Time *rounds* runs of *fn*, each just after a :func:`calibrate`.
+
+    The speed of a shared host drifts from one moment to the next, so
+    each round is paired with its own calibration. Returns the seconds
+    and calibration of the round with the lowest ratio of the two, plus
+    the last result.
+    """
+    best_seconds, best_calibration = float("inf"), 1.0
     value: object = None
     for _ in range(max(1, rounds)):
+        calibration = calibrate()
         started = time.perf_counter()
         value = fn()
-        best = min(best, time.perf_counter() - started)
-    return best, value
-
-
-def calibrate(rounds: int = 3) -> float:
-    """Seconds for a fixed pure-Python workload (machine-speed proxy).
-
-    A deterministic 192-node layered relation is transitively closed and
-    restricted — the same kind of work the checker cases do, so the
-    normalization tracks the operations that actually matter.
-    """
-    from repro.checker.graph import Relation
-
-    def workload() -> int:
-        relation = Relation(192)
-        for node in range(191):
-            relation.add(node, node + 1)
-            if node + 7 < 192:
-                relation.add(node, (node * 5 + 7) % 192 if (node * 5 + 7) % 192 > node else node + 7)
-        closure = relation.transitive_closure()
-        sub = closure.restrict(range(0, 192, 2))
-        return closure.edge_count() + sub.edge_count()
-
-    seconds, _ = _best_of(workload, rounds)
-    return seconds
+        seconds = time.perf_counter() - started
+        if seconds * best_calibration < best_seconds * calibration:
+            best_seconds, best_calibration = seconds, calibration
+    return best_seconds, best_calibration, value
 
 
 def _make_history(processes: int, ops_per_process: int, seed: int = 0):
@@ -111,10 +117,11 @@ def _case_checker_causal(rounds: int, ops_per_process: int = 40) -> dict:
         invalidate()  # time the cold path: derivation + saturation
         return check_causal(history)
 
-    seconds, verdict = _best_of(once, rounds)
+    seconds, calibration, verdict = _best_of(once, rounds)
     return {
         "name": f"checker_causal_{8 * ops_per_process}",
         "seconds": seconds,
+        "calibration_seconds": calibration,
         "ops": len(history),
         "ok": bool(verdict.ok),
         "gate": True,
@@ -131,10 +138,11 @@ def _case_checker_sessions(rounds: int) -> dict:
         invalidate()
         return check_all_session_guarantees(history)
 
-    seconds, results = _best_of(once, rounds)
+    seconds, calibration, results = _best_of(once, rounds)
     return {
         "name": "checker_sessions_320",
         "seconds": seconds,
+        "calibration_seconds": calibration,
         "ops": len(history),
         "ok": all(result.ok for result in results.values()),
         "gate": True,
@@ -162,10 +170,11 @@ def _case_causality_chain5(rounds: int) -> dict:
         invalidate()
         return check_causal(history)
 
-    seconds, verdict = _best_of(once, rounds)
+    seconds, calibration, verdict = _best_of(once, rounds)
     return {
         "name": "causality_chain5_large",
         "seconds": seconds,
+        "calibration_seconds": calibration,
         "ops": len(history),
         "ok": bool(verdict.ok),
         "gate": True,
@@ -180,6 +189,7 @@ def _explore_summary(outcome) -> dict:
         "truncated": outcome.truncated,
         "runs": outcome.runs,
         "exhausted": outcome.exhausted,
+        "distinct_histories": outcome.distinct_histories,
         "violations": [sorted(set(c.patterns)) for c in outcome.violations],
     }
 
@@ -192,6 +202,7 @@ def _case_explorer(scenario: str, jobs_list: tuple[int, ...]) -> tuple[list[dict
     failures: list[str] = []
     outcomes: dict[int, object] = {}
     for jobs in jobs_list:
+        calibration = calibrate()
         started = time.perf_counter()
         outcome = explore_parallel(
             scenario, jobs=jobs, max_interleavings=400_000, stop_after=None
@@ -202,6 +213,7 @@ def _case_explorer(scenario: str, jobs_list: tuple[int, ...]) -> tuple[list[dict
             {
                 "name": f"explore_{scenario}_jobs{jobs}",
                 "seconds": seconds,
+                "calibration_seconds": calibration,
                 "runs_per_second": outcome.runs / seconds if seconds > 0 else 0.0,
                 "jobs": jobs,
                 "ok": outcome.exhausted,
@@ -213,9 +225,12 @@ def _case_explorer(scenario: str, jobs_list: tuple[int, ...]) -> tuple[list[dict
     for jobs, outcome in outcomes.items():
         if jobs == 1 or sequential is None:
             continue
-        if outcome.exhausted != sequential.exhausted or [
-            sorted(set(c.patterns)) for c in outcome.violations
-        ] != [sorted(set(c.patterns)) for c in sequential.violations]:
+        if (
+            outcome.exhausted != sequential.exhausted
+            or outcome.terminal_histories != sequential.terminal_histories
+            or [sorted(set(c.patterns)) for c in outcome.violations]
+            != [sorted(set(c.patterns)) for c in sequential.violations]
+        ):
             failures.append(
                 f"parallel explorer (jobs={jobs}) disagrees with sequential "
                 f"on {scenario!r}: "
@@ -244,22 +259,19 @@ def run_perf_suite(
 ) -> tuple[dict, list[str], Path]:
     """Run the suite; returns (report, failures, report path).
 
-    *quick* uses one timing round per case and the small explorer
-    scenario only — the shape CI runs on every push. Full mode adds
-    best-of-3 timing and the bridge-p1 sequential-vs-parallel wall-clock
-    comparison (several minutes).
+    *quick* runs the small explorer scenario only — the shape CI runs
+    on every push. Full mode adds the bridge-p1 sequential-vs-parallel
+    wall-clock comparison (several minutes). Gated cases are best-of-
+    :data:`GATE_ROUNDS` in both modes, as in the baseline: a single
+    round of a millisecond-scale case is too noisy to gate on.
 
     Failures (a non-empty second element) are gate violations or
     parallel-parity breaks; the report is written either way.
     """
-    rounds = 1 if quick else 3
-
     def note(label: str) -> None:
         if progress is not None:
             progress(label)
 
-    note("calibrate")
-    calibration = calibrate(rounds)
     cases: list[dict] = []
     failures: list[str] = []
     for runner, label in (
@@ -272,7 +284,7 @@ def run_perf_suite(
         (_case_causality_chain5, "causality_chain5_large"),
     ):
         note(label)
-        case = runner(rounds)
+        case = runner(GATE_ROUNDS)
         cases.append(case)
         if not case["ok"]:
             failures.append(f"perf case {case['name']} returned a failing verdict")
@@ -295,11 +307,10 @@ def run_perf_suite(
 
     speedups: dict[str, float] = {}
     if baseline is not None:
-        base_calibration = baseline.get("calibration") or calibration
-        scale = base_calibration / calibration if calibration > 0 else 1.0
         for case in cases:
             name = case["name"]
-            normalized = case["seconds"] * scale
+            base_calibration = baseline.get("calibration") or case["calibration_seconds"]
+            normalized = case["seconds"] * base_calibration / case["calibration_seconds"]
             case["normalized_seconds"] = normalized
             base_case = baseline.get("cases", {}).get(name)
             if case.get("gate") and base_case is not None:
@@ -321,7 +332,9 @@ def run_perf_suite(
         "suite": "repro-perf",
         "mode": "quick" if quick else "full",
         "python": platform.python_version(),
-        "calibration_seconds": calibration,
+        "calibration_seconds": statistics.median(
+            case["calibration_seconds"] for case in cases
+        ),
         "gate_tolerance": GATE_TOLERANCE,
         "baseline": str(baseline_path) if baseline is not None else None,
         "cases": cases,

@@ -107,6 +107,22 @@ class DelayedApplyMCS(MCSProcess):
     def local_value(self, var: str) -> Any:
         return self._store.get(var, (INITIAL_VALUE, VectorClock()))[0]
 
+    def state_key(self) -> tuple:
+        return (
+            self._ctx,
+            self._seen,
+            tuple(sorted(self._store.items())),
+            tuple(self._ready_buffer),
+            tuple(sorted((var, tuple(queue)) for var, queue in self._lag_queues.items())),
+            rng_mod.state_key(self._rng),
+            self._in_upcall,
+            self.updates_applied,
+            self.lag_inversions,
+            self._ready_counter,
+            self._last_applied_rank,
+            tuple(self.missed_upcalls),
+        )
+
     # -- readiness gating ------------------------------------------------------
 
     def _on_message(self, src: str, payload: Any) -> None:

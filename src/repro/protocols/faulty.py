@@ -56,6 +56,14 @@ class FifoApplyMCS(MCSProcess):
     def local_value(self, var: str) -> Any:
         return self._store.get(var, INITIAL_VALUE)
 
+    def state_key(self) -> tuple:
+        return (
+            tuple(sorted(self._store.items())),
+            self._sent,
+            self.updates_applied,
+            tuple(self.missed_upcalls),
+        )
+
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
@@ -76,6 +84,9 @@ class ScrambledApplyMCS(FifoApplyMCS):
         super().__init__(**kwargs)
         self._max_lag = max_lag
         self._rng = rng_mod.derive(lag_seed, "scrambled", self.name)
+
+    def state_key(self) -> tuple:
+        return super().state_key() + (rng_mod.state_key(self._rng),)
 
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):

@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.memory.interface import MCSProcess
+from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import CausalUpdate
@@ -125,6 +125,20 @@ class HybridMCS(MCSProcess):
 
     def local_value(self, var: str) -> Any:
         return self._store.get(var, INITIAL_VALUE)
+
+    def state_key(self) -> tuple:
+        return (
+            self._clock,
+            tuple(sorted(self._store.items())),
+            tuple(self._weak_buffer),
+            tuple(sorted(self._strong_buffer.items())),
+            self._next_strong,
+            self._assign_strong,
+            callback_names(self._pending_strong_acks),
+            tuple(self.strong_apply_log),
+            self.updates_applied,
+            tuple(self.missed_upcalls),
+        )
 
     # -- sequencing ------------------------------------------------------------
 

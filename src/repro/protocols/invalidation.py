@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.memory.interface import MCSProcess
+from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.sim.clock import VectorClock
@@ -127,6 +127,27 @@ class InvalidationCausalMCS(MCSProcess):
     @property
     def _ctx(self) -> VectorClock:
         return self._applied.merge(self._extra)
+
+    def state_key(self) -> tuple:
+        return (
+            tuple(
+                (var, r.value, r.ts, r.valid, r.winner_ts, r.winner_writer)
+                for var, r in sorted(self._replicas.items())
+            ),
+            self._applied,
+            self._extra,
+            tuple(self._buffer),
+            tuple(sorted(self._pending_fetches)),
+            callback_names(done for _, done in sorted(self._pending_fetches.items())),
+            tuple(self._blocked_requests),
+            tuple(self._upcall_fetch_queue),
+            self._upcall_fetch_active,
+            frozenset(self._propagated_values),
+            self.invalidations_applied,
+            self.fetches,
+            self.redirects,
+            tuple(self.missed_upcalls),
+        )
 
     # -- call handling ----------------------------------------------------------
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.memory.interface import MCSProcess
+from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.sim.clock import LamportClock, LamportTimestamp
@@ -77,6 +77,17 @@ class LamportSequentialMCS(MCSProcess):
 
     def local_value(self, var: str) -> Any:
         return self._store.get(var, INITIAL_VALUE)
+
+    def state_key(self) -> tuple:
+        return (
+            self._clock.current,
+            tuple(sorted(self._store.items())),
+            tuple(sorted(self._pending.items())),
+            tuple(sorted(self._latest_seen.items())),
+            callback_names(self._write_acks),
+            self.updates_applied,
+            tuple(self.missed_upcalls),
+        )
 
     # -- total order --------------------------------------------------------
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.memory.interface import MCSProcess
+from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import SequencedUpdate, WriteRequest
@@ -104,6 +104,20 @@ class ParametrizedMCS(MCSProcess):
 
     def local_value(self, var: str) -> Any:
         return self._store.get(var, INITIAL_VALUE)
+
+    def state_key(self) -> tuple:
+        return (
+            tuple(sorted(self._store.items())),
+            self.updates_applied,
+            tuple(sorted(self._delivered.items())),
+            self._sent,
+            tuple(self._dep_buffer),
+            tuple(sorted(self._assign.items())),
+            tuple(sorted(self._apply_next.items())),
+            tuple(sorted(self._reorder.items())),
+            callback_names(self._pending_writes),
+            tuple(self.missed_upcalls),
+        )
 
     # -- causal mode ------------------------------------------------------------
 

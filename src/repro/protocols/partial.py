@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import ConfigurationError
-from repro.memory.interface import MCSProcess
+from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.sim.clock import VectorClock
@@ -131,6 +131,21 @@ class PartialReplicationMCS(MCSProcess):
     @property
     def _ctx(self) -> VectorClock:
         return self._applied.merge(self._extra)
+
+    def state_key(self) -> tuple:
+        return (
+            self._applied,
+            self._extra,
+            tuple(sorted(self._store.items())),
+            tuple(self._buffer),
+            tuple(sorted(self._pending_reads)),
+            callback_names(done for _, done in sorted(self._pending_reads.items())),
+            tuple(self._blocked_requests),
+            self.updates_applied,
+            self.notices_applied,
+            self.remote_reads,
+            tuple(self.missed_upcalls),
+        )
 
     # -- call handling ---------------------------------------------------------------
 

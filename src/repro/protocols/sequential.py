@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from repro.errors import ProtocolError
-from repro.memory.interface import MCSProcess
+from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import SequencedUpdate, WriteRequest
@@ -73,6 +73,18 @@ class SequentialMCS(MCSProcess):
 
     def local_value(self, var: str) -> Any:
         return self._store.get(var, INITIAL_VALUE)
+
+    def state_key(self) -> tuple:
+        return (
+            tuple(sorted(self._store.items())),
+            self._next_assign,
+            self._next_apply,
+            tuple(sorted(self._reorder.items())),
+            tuple((var, value) for var, value, _ in self._pending_writes),
+            callback_names(done for _, _, done in self._pending_writes),
+            self.updates_applied,
+            tuple(self.missed_upcalls),
+        )
 
     # -- sequencing -------------------------------------------------------------
 

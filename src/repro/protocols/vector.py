@@ -65,6 +65,16 @@ class VectorCausalMCS(MCSProcess):
     def clock(self) -> VectorClock:
         return self._clock
 
+    def state_key(self) -> tuple:
+        return (
+            self._clock,
+            tuple(sorted(self._store.items())),
+            tuple(self._buffer),
+            self.updates_applied,
+            self.max_buffered,
+            tuple(self.missed_upcalls),
+        )
+
     # -- update propagation -------------------------------------------------
 
     def _on_message(self, src: str, payload: Any) -> None:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.errors import ChannelError
+from repro.sim import rng as rng_mod
 from repro.sim.core import Simulator
 
 
@@ -377,6 +378,19 @@ class ReliableFifoChannel:
     def close(self) -> None:
         """Refuse further sends. In-flight messages still deliver."""
         self._closed = True
+
+    def state_key(self) -> tuple:
+        """Sent and delivered counts, the FIFO floor and the rng state.
+
+        In-flight frames show up in the kernel's pending ``(time, tag)``
+        signature instead; see :mod:`repro.explore.fingerprint`.
+        """
+        return (
+            self.stats.messages_sent,
+            self.stats.messages_delivered,
+            self._last_delivery,
+            rng_mod.state_key(self._rng),
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ReliableFifoChannel({self.name!r}, in_flight={self.stats.in_flight})"

@@ -23,4 +23,14 @@ def derive(seed: int, *labels: object) -> random.Random:
     return random.Random(mixed * 2654435761 % (2**63))
 
 
-__all__ = ["derive"]
+def state_key(rng: random.Random) -> int:
+    """State-key form of a generator: its state decides every future draw.
+
+    The full state is a 625-int tuple, so it is folded with the C-level
+    tuple hash. The salt of ``hash`` does not matter: keys are compared
+    only within one process (and its forked workers).
+    """
+    return hash(rng.getstate())
+
+
+__all__ = ["derive", "state_key"]

@@ -1,6 +1,8 @@
 """Unit tests for the schedule-explorer building blocks."""
 
 import json
+import random
+from collections import deque
 
 import pytest
 
@@ -14,41 +16,143 @@ from repro.explore import (
     replay_schedule,
     run_with_trace,
     save_schedule,
+    shrink_counterexample,
     shrink_trace,
 )
 from repro.explore.engine import Counterexample, scheduling_aliases
-from repro.explore.fingerprint import freeze, state_fingerprint
+from repro.explore.fingerprint import state_fingerprint
 from repro.explore.policy import TracePolicy
+from repro.interconnect.is_process import PropagatedPair
+from repro.memory.interface import MCSProcess
+from repro.sim.clock import VectorClock
+from repro.memory.program import Read, Sleep
+from repro.memory.recorder import HistoryRecorder
+from repro.memory.system import DSMSystem
+from repro.protocols import get as get_protocol
+from repro.sim.core import Simulator
 from repro.workloads.scenarios import (
+    ScenarioResult,
     run_until_quiescent,
     small_bridge_scenario,
     small_fifo_scenario,
 )
 
 
-class TestFreeze:
-    def test_primitives_pass_through(self):
-        assert freeze(3) == 3
-        assert freeze("x") == "x"
-        assert freeze(None) is None
+def _bridge_parts():
+    """An MCS-process, a driver, an IS-process and its channel of a
+    bridge scenario run to completion (every field populated)."""
+    result = small_bridge_scenario(use_pre_update=False)
+    run_until_quiescent(result.sim, result.systems)
+    system = result.systems[0]
+    isp = result.interconnection.bridges[0].isp_a
+    link = next(iter(isp._peers.values()))
+    return result, system.mcs_processes[0], system.app_processes[0], isp, link
 
-    def test_dict_order_is_canonical(self):
-        assert freeze({"a": 1, "b": 2}) == freeze({"b": 2, "a": 1})
 
-    def test_set_order_is_canonical(self):
-        assert freeze({3, 1, 2}) == freeze({2, 3, 1})
+def _bump(value):
+    """A different value of the same shape as *value*."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, (int, float)):
+        return value + 1
+    if isinstance(value, VectorClock):
+        return value.increment(7)
+    if isinstance(value, dict):
+        return {**value, "zz": "bumped"}
+    if isinstance(value, set):
+        return value | {("zz", "bumped")}
+    if isinstance(value, (list, deque)):
+        return type(value)([*value, PropagatedPair("zz", "bumped")])
+    if isinstance(value, random.Random):
+        value.random()
+        return value
+    raise TypeError(type(value))
 
-    def test_slots_objects_are_walked(self):
-        from repro.sim.clock import VectorClock
 
-        clock_a = VectorClock()
-        clock_b = VectorClock()
-        assert freeze(clock_a) == freeze(clock_b)
-        assert freeze(clock_a.increment(0)) != freeze(clock_b)
+#: Keyed fields, as (component, attribute).
+KEYED_FIELDS = [
+    ("mcs", "_clock"),
+    ("mcs", "_store"),
+    ("mcs", "_buffer"),
+    ("mcs", "updates_applied"),
+    ("mcs", "max_buffered"),
+    ("mcs", "missed_upcalls"),
+    ("app", "ops_completed"),
+    ("app", "done"),
+    ("app", "_blocked"),
+    ("app", "commands_issued"),
+    ("isp", "_write_queue"),
+    ("isp", "_writing"),
+    ("isp", "_seen_pairs"),
+    ("isp", "pairs_propagated_out"),
+    ("isp", "pairs_applied_in"),
+    ("isp", "pairs_coalesced"),
+    ("isp", "duplicates_dropped"),
+    ("link", "outbox"),
+    ("link", "pairs_sent"),
+    ("link", "pairs_received"),
+    ("link", "flush_scheduled"),
+    ("channel", "_last_delivery"),
+    ("channel", "_rng"),
+    ("stats", "messages_sent"),
+    ("stats", "messages_delivered"),
+]
 
-    def test_callables_collapse_to_qualname(self):
-        frozen = freeze(TestFreeze.test_primitives_pass_through)
-        assert frozen[0] == "fn"
+
+class TestStateKey:
+    def test_keys_are_hashable_tuples(self):
+        _, mcs, app, isp, link = _bridge_parts()
+        for component in (mcs, app, isp, link.channel):
+            key = component.state_key()
+            assert isinstance(key, tuple)
+            hash(key)
+
+    @pytest.mark.parametrize("owner, attribute", KEYED_FIELDS)
+    def test_changing_a_keyed_field_changes_the_key(self, owner, attribute):
+        result, mcs, app, isp, link = _bridge_parts()
+        target = {
+            "mcs": mcs,
+            "app": app,
+            "isp": isp,
+            "link": link,
+            "channel": link.channel,
+            "stats": link.channel.stats,
+        }[owner]
+        before = state_fingerprint(result)
+        setattr(target, attribute, _bump(getattr(target, attribute)))
+        assert state_fingerprint(result) != before
+
+    def test_store_order_is_canonical(self):
+        _, mcs, _, _, _ = _bridge_parts()
+        mcs._store = {"x": "1", "y": "2"}
+        forward = mcs.state_key()
+        mcs._store = {"y": "2", "x": "1"}
+        assert mcs.state_key() == forward
+
+    def test_seen_pair_order_is_canonical(self):
+        _, _, _, isp, _ = _bridge_parts()
+        isp._seen_pairs = {("x", "1"), ("y", "2")}
+        forward = isp.state_key()
+        isp._seen_pairs = {("y", "2"), ("x", "1")}
+        assert isp.state_key() == forward
+
+    def test_vector_clock_is_keyed_by_value(self):
+        result, mcs, _, _, _ = _bridge_parts()
+        before = state_fingerprint(result)
+        clock = mcs._clock
+        mcs._clock = VectorClock({proc: clock.get(proc) for proc in clock.processes()})
+        assert mcs._clock is not clock
+        assert state_fingerprint(result) == before
+
+    def test_unkeyed_mcs_subclass_raises(self):
+        class Unkeyed(MCSProcess):
+            pass
+
+        result = small_fifo_scenario()
+        mcs = result.systems[0].mcs_processes[0]
+        mcs.__class__ = Unkeyed
+        with pytest.raises(NotImplementedError, match="Unkeyed"):
+            state_fingerprint(result)
 
 
 class TestStateFingerprint:
@@ -70,6 +174,37 @@ class TestStateFingerprint:
             result.sim.run()
             fingerprints.add(state_fingerprint(result))
         assert len(fingerprints) == 1
+
+
+    def test_read_response_and_sleep_pending_differ(self):
+        # After the read completes, the driver's next step (handing the
+        # value to its program) is pending; after that step, the Sleep's
+        # wakeup is. Both states show the same history and the same
+        # pending (time, tag) events: only the program position differs.
+        sim = Simulator()
+        recorder = HistoryRecorder()
+        system = DSMSystem(
+            sim, "S0", get_protocol("fifo-apply"), recorder=recorder,
+            default_delay=0.0,
+        )
+        system.add_application("C", [Read("y"), Sleep(0.0), Read("y")])
+        result = ScenarioResult(
+            sim=sim, systems=[system], interconnection=None, recorder=recorder
+        )
+        states = []
+        while sim.step():
+            if recorder.count == 1:
+                states.append(
+                    (
+                        sim.pending_signature(),
+                        recorder.signature(),
+                        state_fingerprint(result),
+                    )
+                )
+        assert len(states) == 2
+        (pending_a, history_a, read_pending), (pending_b, history_b, sleep_pending) = states
+        assert (pending_a, history_a) == (pending_b, history_b)
+        assert read_pending != sleep_pending
 
 
 class TestSchedulingAliases:
@@ -192,6 +327,24 @@ class TestShrink:
 
         shrink_trace([1] * 8, failing, max_attempts=10)
         assert len(calls) <= 11  # budgeted calls + the initial validation
+
+
+    def test_redundant_poll_is_dropped_as_an_event(self):
+        # B polls x once too early and C polls y once too often: index
+        # deletion cannot remove a whole poll (it shifts every later
+        # index), dropping the poll's events from the schedule can.
+        _, verdict = run_with_trace(small_fifo_scenario, self.POLLING_TRACE)
+        counterexample = Counterexample(
+            scenario="faulty-fifo",
+            trace=list(self.POLLING_TRACE),
+            patterns=[v.pattern for v in verdict.violations],
+            detail="",
+        )
+        shrunk = shrink_counterexample(counterexample)
+        assert "WriteHBInitRead" in shrunk.patterns
+        assert shrunk.decisions <= 10
+
+    POLLING_TRACE = (0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2)
 
 
 class TestScheduleRoundTrip:

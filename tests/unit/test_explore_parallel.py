@@ -5,18 +5,24 @@ lives in the integration suite and CI; these tests pin the fast
 invariants on the small catalogued scenarios:
 
 * ``jobs=1`` routes to the sequential engine (same object semantics),
-* parallel totals and verdicts are independent of the worker count,
+* parallel totals, verdicts and terminal histories are independent of
+  the worker count,
 * the bootstrap frontier split covers the tree (exhaustion with no
   lost or double-counted subtrees),
 * the metrics finalization partitions runs by outcome and always emits
   the throughput gauge.
 """
 
+import functools
+import multiprocessing
+
 import pytest
 
 from repro.explore.engine import ExploreResult, _emit_metrics, explore
-from repro.explore.parallel import UNIT_TARGET, explore_parallel
+from repro.explore.parallel import explore_parallel
+from repro.explore.scenarios import SCENARIOS, ExploreScenario
 from repro.obs.metrics import MetricsRegistry
+from repro.workloads.scenarios import small_fifo_scenario
 
 SCENARIO = "bridge-noread-control"
 
@@ -43,6 +49,7 @@ class TestSequentialRouting:
         assert routed.pruned_sleep == sequential.pruned_sleep
         assert routed.truncated == sequential.truncated
         assert routed.exhausted == sequential.exhausted
+        assert routed.terminal_histories == sequential.terminal_histories
         assert [c.trace for c in routed.violations] == [
             c.trace for c in sequential.violations
         ]
@@ -59,6 +66,7 @@ class TestParallelDeterminism:
             assert result.pruned_sleep == parallel_two.pruned_sleep
             assert result.truncated == parallel_two.truncated
             assert result.exhausted == parallel_two.exhausted
+            assert result.terminal_histories == parallel_two.terminal_histories
             assert [c.trace for c in result.violations] == [
                 c.trace for c in parallel_two.violations
             ]
@@ -69,6 +77,9 @@ class TestParallelDeterminism:
         assert sequential.exhausted
         assert parallel_two.exhausted
         assert parallel_two.ok == sequential.ok
+        # Coverage is a property of the tree, not of how it was split.
+        assert sequential.distinct_histories == 21
+        assert parallel_two.terminal_histories == sequential.terminal_histories
 
     def test_parallel_finds_the_violation_sequentially_found(self):
         seq = explore("bridge-noread", max_interleavings=400_000, stop_after=1)
@@ -80,13 +91,31 @@ class TestParallelDeterminism:
             set(seq.violations[0].patterns)
         )
 
-    def test_small_tree_finishes_in_bootstrap(self):
+    def test_small_tree_finishes_in_bootstrap(self, monkeypatch):
         # A tree that exhausts before the frontier ever reaches
-        # UNIT_TARGET never leaves the parent process.
-        result = explore_parallel(
-            SCENARIO, jobs=2, max_interleavings=UNIT_TARGET, stop_after=None
+        # UNIT_TARGET never leaves the parent process. With one poll the
+        # fifo race is such a tree; the catalogued ones all outgrow the
+        # frontier within their first run.
+        monkeypatch.setitem(
+            SCENARIOS,
+            "tiny-fifo",
+            ExploreScenario(
+                "tiny-fifo",
+                functools.partial(small_fifo_scenario, max_polls=1),
+                "faulty-fifo with a single poll",
+            ),
         )
-        assert result.runs <= UNIT_TARGET
+
+        def no_workers(method):
+            raise AssertionError(f"explorer started {method} workers")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_workers)
+        result = explore_parallel(
+            "tiny-fifo", jobs=2, max_interleavings=400_000, stop_after=None
+        )
+        sequential = explore("tiny-fifo", max_interleavings=400_000, stop_after=None)
+        assert result.exhausted
+        assert result.runs == sequential.runs
 
 
 class TestMetricsFinalization:
@@ -125,6 +154,17 @@ class TestMetricsFinalization:
         ]
         assert len(gauges) == 1
         assert gauges[0].value == 0.0
+
+    def test_distinct_histories_gauge(self):
+        registry = MetricsRegistry()
+        outcome = self.make_outcome(explored=3, terminal_histories={("a",), ("b",)})
+        _emit_metrics(registry, outcome, "s", elapsed=1.0)
+        gauge = next(
+            instrument
+            for instrument in registry
+            if instrument.name == "explore_distinct_histories"
+        )
+        assert gauge.value == 2
 
     def test_gauge_reports_throughput(self):
         registry = MetricsRegistry()

@@ -101,12 +101,12 @@ class TestPerfSuite:
             return lambda rounds: {
                 "name": name,
                 "seconds": seconds,
+                "calibration_seconds": 0.01,
                 "ops": 1,
                 "ok": True,
                 "gate": gate,
             }
 
-        monkeypatch.setattr(perf, "calibrate", lambda rounds=3: 0.01)
         monkeypatch.setattr(
             perf,
             "_case_checker_causal",
