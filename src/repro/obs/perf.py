@@ -1,8 +1,9 @@
-"""Checker / explorer throughput suite with a regression gate.
+"""Checker / simulation / explorer throughput suite with a regression gate.
 
 Unlike the pytest-benchmark modules under ``benchmarks/`` (which print
-rich comparison tables for humans), this suite times the repo's two hot
-paths — causality checking and interleaving exploration — directly, and
+rich comparison tables for humans), this suite times the repo's hot
+paths — causality checking, the simulation kernel with a vector-causal
+protocol, and interleaving exploration — directly, and
 writes a machine-readable ``BENCH_perf.json`` at the repo root. It is
 what CI's perf-smoke job runs: fast enough for every push, deterministic
 enough to gate on.
@@ -11,7 +12,7 @@ Portability of the gate: raw seconds are meaningless across machines, so
 every case carries a *calibration score* — the wall time of a fixed
 allocation-free loop run just before its timing round — and the gate
 compares calibration-normalized times against the committed
-``benchmarks/perf_baseline.json``. A checker case whose normalized time
+``benchmarks/perf_baseline.json``. A gated case whose normalized time
 exceeds the baseline by more than :data:`GATE_TOLERANCE` fails the suite.
 
 The baseline file also records the pre-optimization timings measured on
@@ -181,6 +182,40 @@ def _case_causality_chain5(rounds: int) -> dict:
     }
 
 
+def _case_sim_propagate(rounds: int) -> dict:
+    """Build and run three vector-causal systems of 8 x 40 ops (write
+    ratio 0.8) in a star to quiescence: kernel, channels, protocol and IS
+    bridge, no checker. The verdict is the n+m-1 messages-per-write
+    closed form of §6."""
+    from repro.workloads import WorkloadSpec, build_interconnected
+    from repro.workloads.scenarios import run_until_quiescent
+
+    def once():
+        result = build_interconnected(
+            ["vector-causal"] * 3, WorkloadSpec(8, 40, write_ratio=0.8), seed=0
+        )
+        run_until_quiescent(result.sim, result.systems)
+        return result
+
+    seconds, calibration, result = _best_of(once, rounds)
+    connection = result.interconnection
+    writes = sum(1 for op in result.global_history if op.is_write)
+    intra, inter = connection.intra_system_messages, connection.inter_system_messages
+    closed_form = connection.total_app_mcs + len(result.systems) - 1
+    events = result.sim.events_processed
+    return {
+        "name": "sim_propagate_3x8x40",
+        "seconds": seconds,
+        "calibration_seconds": calibration,
+        "events": events,
+        "messages": intra + inter,
+        "events_per_s": events / seconds,
+        "messages_per_s": (intra + inter) / seconds,
+        "ok": intra + inter == closed_form * writes,
+        "gate": True,
+    }
+
+
 def _explore_summary(outcome) -> dict:
     return {
         "explored": outcome.explored,
@@ -282,6 +317,7 @@ def run_perf_suite(
         ),
         (_case_checker_sessions, "checker_sessions_320"),
         (_case_causality_chain5, "causality_chain5_large"),
+        (_case_sim_propagate, "sim_propagate_3x8x40"),
     ):
         note(label)
         case = runner(GATE_ROUNDS)
@@ -358,6 +394,8 @@ def render_perf(report: dict) -> str:
         extras = []
         if "runs_per_second" in case:
             extras.append(f"{case['runs_per_second']:.0f} runs/s")
+        if "messages_per_s" in case:
+            extras.append(f"{case['messages_per_s']:.0f} msgs/s")
         if case["name"] in report["speedup_vs_pre_optimization"]:
             extras.append(
                 f"{report['speedup_vs_pre_optimization'][case['name']]}x "

@@ -131,20 +131,12 @@ class DelayedApplyMCS(MCSProcess):
         self._ready_buffer.append(payload)
         self._drain_ready()
 
-    def _causally_ready(self, update: CausalUpdate) -> bool:
-        ts, sender = update.ts, update.sender_index
-        if ts.get(sender) != self._seen.get(sender) + 1:
-            return False
-        return all(
-            ts.get(proc) <= self._seen.get(proc) for proc in ts.processes() if proc != sender
-        )
-
     def _drain_ready(self) -> None:
         progressed = True
         while progressed:
             progressed = False
             for update in list(self._ready_buffer):
-                if self._causally_ready(update):
+                if update.ts.causally_ready(self._seen, update.sender_index):
                     self._ready_buffer.remove(update)
                     self._seen = self._seen.merge(update.ts)
                     self._stage(update)

@@ -170,19 +170,12 @@ class HybridMCS(MCSProcess):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
         self._drain()
 
-    def _causally_ready(self, ts: VectorClock, sender: int) -> bool:
-        if ts.get(sender) != self._clock.get(sender) + 1:
-            return False
-        return all(
-            ts.get(proc) <= self._clock.get(proc) for proc in ts.processes() if proc != sender
-        )
-
     def _drain(self) -> None:
         progressed = True
         while progressed:
             progressed = False
             for update in list(self._weak_buffer):
-                if self._causally_ready(update.ts, update.sender_index):
+                if update.ts.causally_ready(self._clock, update.sender_index):
                     self._weak_buffer.remove(update)
                     self._apply_weak(update)
                     progressed = True
@@ -190,7 +183,7 @@ class HybridMCS(MCSProcess):
             if strong is not None:
                 own = strong.origin == self.name
                 ready = (
-                    self._causally_ready(strong.ts, strong.sender_index)
+                    strong.ts.causally_ready(self._clock, strong.sender_index)
                     if not own
                     else True
                 )

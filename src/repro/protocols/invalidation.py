@@ -205,22 +205,14 @@ class InvalidationCausalMCS(MCSProcess):
         else:
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
 
-    def _causally_ready(self, invalidation: Invalidation) -> bool:
-        ts, sender = invalidation.ts, invalidation.sender_index
-        if ts.get(sender) != self._applied.get(sender) + 1:
-            return False
-        return all(
-            ts.get(proc) <= self._applied.get(proc)
-            for proc in ts.processes()
-            if proc != sender
-        )
-
     def _drain(self) -> None:
         progressed = True
         while progressed:
             progressed = False
             for invalidation in list(self._buffer):
-                if self._causally_ready(invalidation):
+                if invalidation.ts.causally_ready(
+                    self._applied, invalidation.sender_index
+                ):
                     self._buffer.remove(invalidation)
                     self._apply_invalidation(invalidation)
                     progressed = True

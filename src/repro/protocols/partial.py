@@ -208,22 +208,12 @@ class PartialReplicationMCS(MCSProcess):
         else:
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
 
-    def _causally_ready(self, message: PartialUpdate | WriteNotice) -> bool:
-        ts, sender = message.ts, message.sender_index
-        if ts.get(sender) != self._applied.get(sender) + 1:
-            return False
-        return all(
-            ts.get(proc) <= self._applied.get(proc)
-            for proc in ts.processes()
-            if proc != sender
-        )
-
     def _drain(self) -> None:
         progressed = True
         while progressed:
             progressed = False
             for message in list(self._buffer):
-                if self._causally_ready(message):
+                if message.ts.causally_ready(self._applied, message.sender_index):
                     self._buffer.remove(message)
                     self._apply(message)
                     progressed = True

@@ -84,25 +84,12 @@ class VectorCausalMCS(MCSProcess):
         self.max_buffered = max(self.max_buffered, len(self._buffer))
         self._drain()
 
-    def _causally_ready(self, update: CausalUpdate) -> bool:
-        """True when every write *update* depends on has been applied here.
-
-        Ready iff the sender's entry is the next expected one and no other
-        entry of the timestamp is ahead of our clock.
-        """
-        ts, sender = update.ts, update.sender_index
-        if ts.get(sender) != self._clock.get(sender) + 1:
-            return False
-        return all(
-            ts.get(proc) <= self._clock.get(proc) for proc in ts.processes() if proc != sender
-        )
-
     def _drain(self) -> None:
         progressed = True
         while progressed:
             progressed = False
             for update in list(self._buffer):
-                if self._causally_ready(update):
+                if update.ts.causally_ready(self._clock, update.sender_index):
                     self._buffer.remove(update)
                     self._apply(update)
                     progressed = True

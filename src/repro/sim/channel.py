@@ -271,6 +271,8 @@ class ReliableFifoChannel:
         self._closed = False
         self._pending = 0
         self.name = name
+        #: Scheduling-domain tag of the FIFO deliveries (see _schedule_delivery).
+        self._tag = f"chan:{name}"
         self.faults = faults
         self.stats = ChannelStats()
         self.frames_dropped = 0
@@ -326,7 +328,7 @@ class ReliableFifoChannel:
                     ).inc()
                 return now
         deliver_at = self._availability.next_up(now) + self._delay.sample(self._rng)
-        tag = f"chan:{self.name}"
+        tag = self._tag
         if plan is not None and r_reorder < plan.reorder_probability:
             # Escape the FIFO hold-back: this frame's delivery time is
             # independent of its predecessors', so it can overtake them.
@@ -342,7 +344,7 @@ class ReliableFifoChannel:
             extra = self._delay.sample(self._rng) + 1e-9
             self._schedule_delivery(
                 deliver_at + extra, message, now, ordinal,
-                f"chan:{self.name}#dup{self.frames_duplicated}",
+                f"{self._tag}#dup{self.frames_duplicated}",
             )
         return deliver_at
 

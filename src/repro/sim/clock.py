@@ -12,50 +12,87 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 
+def _index(proc: int) -> int:
+    if proc < 0:
+        raise ValueError(f"negative process index {proc}")
+    return proc
+
+
 class VectorClock:
     """An immutable vector clock over integer process indices.
 
     Entries default to zero, so clocks over different process sets compare
     sensibly. All operations return new clocks; instances are hashable and
     safe to embed in messages.
+
+    The representation is dense: a tuple of counts indexed by process,
+    with trailing zeros stripped so equal clocks have equal tuples.
+    Process indices are small and contiguous within a system
+    (:meth:`repro.memory.system.DSMSystem.new_mcs` numbers them 0..n-1),
+    so ``get`` is an index and ``merge``/``dominates`` are pointwise maps.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_counts",)
 
     def __init__(self, entries: Mapping[int, int] | None = None) -> None:
-        items = {}
-        if entries:
-            for proc, count in entries.items():
-                if count < 0:
-                    raise ValueError(f"negative clock entry for process {proc}")
-                if count > 0:
-                    items[proc] = count
-        self._entries: tuple[tuple[int, int], ...] = tuple(sorted(items.items()))
+        entries = entries or {}
+        counts = [0] * (max(entries, default=-1) + 1)
+        for proc, count in entries.items():
+            if count < 0:
+                raise ValueError(f"negative clock entry for process {proc}")
+            counts[_index(proc)] = count
+        while counts and not counts[-1]:
+            counts.pop()
+        self._counts: tuple[int, ...] = tuple(counts)
+
+    @classmethod
+    def _of(cls, counts: tuple[int, ...]) -> "VectorClock":
+        """Wrap an already-canonical counts tuple (no trailing zero)."""
+        clock = object.__new__(cls)
+        clock._counts = counts
+        return clock
 
     def get(self, proc: int) -> int:
         """Value of the entry for *proc* (0 if absent)."""
-        for key, value in self._entries:
-            if key == proc:
-                return value
-        return 0
+        counts = self._counts
+        return counts[proc] if _index(proc) < len(counts) else 0
 
     def increment(self, proc: int) -> "VectorClock":
         """Return a copy with *proc*'s entry incremented by one."""
-        entries = dict(self._entries)
-        entries[proc] = entries.get(proc, 0) + 1
-        return VectorClock(entries)
+        counts = list(self._counts) + [0] * (_index(proc) + 1 - len(self._counts))
+        counts[proc] += 1
+        return VectorClock._of(tuple(counts))
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Pointwise maximum (join) of the two clocks."""
-        entries = dict(self._entries)
-        for proc, count in other._entries:
-            if count > entries.get(proc, 0):
-                entries[proc] = count
-        return VectorClock(entries)
+        mine, theirs = self._counts, other._counts
+        if len(mine) < len(theirs):
+            mine, theirs = theirs, mine
+        return VectorClock._of(tuple(map(max, mine, theirs)) + mine[len(theirs):])
 
     def dominates(self, other: "VectorClock") -> bool:
         """True if every entry of *self* is >= the entry of *other*."""
-        return all(self.get(proc) >= count for proc, count in other._entries)
+        mine, theirs = self._counts, other._counts
+        # A longer *other* ends in a nonzero entry *self* lacks.
+        return len(theirs) <= len(mine) and all(map(int.__ge__, mine, theirs))
+
+    def causally_ready(self, clock: "VectorClock", sender: int) -> bool:
+        """True when a message timestamped *self* by *sender* may be
+        applied at a replica whose clock is *clock*.
+
+        Ready iff *sender*'s entry is the next one *clock* expects and no
+        other entry is ahead of *clock*: every write the message depends
+        on has been applied. This is the hold-back predicate shared by
+        every vector-clock protocol.
+        """
+        counts = self._counts
+        if _index(sender) >= len(counts):
+            return False
+        local = clock._counts + (0,) * (len(counts) - len(clock._counts))
+        if counts[sender] != local[sender] + 1:
+            return False
+        # The sender's entry is the one position where counts exceeds local.
+        return sum(map(int.__gt__, counts, local)) == 1
 
     def __le__(self, other: "VectorClock") -> bool:
         return other.dominates(self)
@@ -69,18 +106,20 @@ class VectorClock:
 
     def processes(self) -> Iterator[int]:
         """Processes with a nonzero entry."""
-        return (proc for proc, _ in self._entries)
+        return (proc for proc, count in enumerate(self._counts) if count)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented
-        return self._entries == other._entries
+        return self._counts == other._counts
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self._counts)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{proc}:{count}" for proc, count in self._entries)
+        inner = ", ".join(
+            f"{proc}:{count}" for proc, count in enumerate(self._counts) if count
+        )
         return f"VC({{{inner}}})"
 
     @classmethod

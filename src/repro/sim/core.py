@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
 from repro.errors import SimulationError
@@ -31,22 +31,30 @@ from repro.errors import SimulationError
 logger = logging.getLogger(__name__)
 
 
-@dataclass(order=True)
 class _ScheduledEvent:
-    """Internal heap entry: ordered by (time, sequence number)."""
+    """One scheduled callback. The heap holds ``(time, seq, event)``
+    tuples, which compare in C; ``seq`` is unique, so the event itself
+    is never compared.
 
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Scheduling-domain label: events with the same tag belong to one
-    #: component (a FIFO channel direction, a process) and must fire in
-    #: seq order relative to each other. ``None`` means "unknown
-    #: component"; all untagged events are conservatively kept in order.
-    tag: Optional[str] = field(default=None, compare=False)
-    #: True once a policy-driven step executed the event out of heap
-    #: order; the stale heap entry is skipped when it surfaces.
-    taken: bool = field(default=False, compare=False)
+    ``tag`` is the scheduling-domain label: events with the same tag
+    belong to one component (a FIFO channel direction, a process) and
+    must fire in seq order relative to each other. ``None`` means
+    "unknown component"; all untagged events are conservatively kept in
+    order. ``taken`` is set once a policy-driven step executed the event
+    out of heap order; the stale heap entry is skipped when it surfaces.
+    """
+
+    __slots__ = ("time", "seq", "callback", "cancelled", "tag", "taken")
+
+    def __init__(
+        self, time: float, seq: int, callback: Callable[[], None], tag: Optional[str]
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.cancelled = False
+        self.tag = tag
+        self.taken = False
 
 
 @dataclass(frozen=True)
@@ -134,7 +142,7 @@ class Simulator:
         policy: Optional[SchedulerPolicy] = None,
         instruments: Optional[Any] = None,
     ) -> None:
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
@@ -223,9 +231,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        event = _ScheduledEvent(self._now + delay, next(self._seq), callback, tag=tag)
-        heapq.heappush(self._queue, event)
-        return EventHandle(event)
+        return self._push(self._now + delay, callback, tag)
 
     def schedule_at(
         self,
@@ -241,8 +247,14 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError(f"cannot schedule in the past (at={time}, now={self._now})")
-        event = _ScheduledEvent(time, next(self._seq), callback, tag=tag)
-        heapq.heappush(self._queue, event)
+        return self._push(time, callback, tag)
+
+    def _push(
+        self, time: float, callback: Callable[[], None], tag: Optional[str]
+    ) -> EventHandle:
+        seq = next(self._seq)
+        event = _ScheduledEvent(time, seq, callback, tag)
+        heapq.heappush(self._queue, (time, seq, event))
         return EventHandle(event)
 
     def call_soon(
@@ -262,13 +274,14 @@ class Simulator:
         in any admissible order.
         """
         if self._policy is None:
-            while self._queue:
-                event = heapq.heappop(self._queue)
+            queue = self._queue
+            while queue:
+                time, _seq, event = heapq.heappop(queue)
                 if event.cancelled or event.taken:
                     continue
-                if event.time < self._now:
+                if time < self._now:
                     raise SimulationError("event queue went backwards in time")
-                self._now = event.time
+                self._now = time
                 self._processed += 1
                 if self._event_counter is not None:
                     self._event_counter.inc()
@@ -289,14 +302,14 @@ class Simulator:
         if head is None:
             return []
         now_time = head.time
-        groups: dict[Optional[str], _ScheduledEvent] = {}
-        for event in self._queue:
-            if event.cancelled or event.taken or event.time != now_time:
+        groups: dict[Optional[str], tuple[int, _ScheduledEvent]] = {}
+        for time, seq, event in self._queue:
+            if time != now_time or event.cancelled or event.taken:
                 continue
             held = groups.get(event.tag)
-            if held is None or event.seq < held.seq:
-                groups[event.tag] = event
-        return sorted(groups.values(), key=lambda event: event.seq)
+            if held is None or seq < held[0]:
+                groups[event.tag] = (seq, event)
+        return [event for _, event in sorted(groups.values())]
 
     def _policy_step(self) -> bool:
         candidates = self._candidates()
@@ -313,7 +326,7 @@ class Simulator:
                 )
             chosen = candidates[index]
         chosen.taken = True
-        if chosen is self._queue[0]:
+        if chosen is self._queue[0][2]:
             heapq.heappop(self._queue)
         self._now = chosen.time
         self._processed += 1
@@ -365,14 +378,15 @@ class Simulator:
         return self._now
 
     def _peek(self) -> Optional[_ScheduledEvent]:
-        while self._queue and (self._queue[0].cancelled or self._queue[0].taken):
-            heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        queue = self._queue
+        while queue and (queue[0][2].cancelled or queue[0][2].taken):
+            heapq.heappop(queue)
+        return queue[0][2] if queue else None
 
     @property
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued."""
-        return sum(1 for event in self._queue if not (event.cancelled or event.taken))
+        return sum(1 for _, _, event in self._queue if not (event.cancelled or event.taken))
 
     def pending_signature(self) -> tuple[tuple[float, str], ...]:
         """A schedule-independent digest of the in-flight events: the
@@ -383,8 +397,8 @@ class Simulator:
         """
         return tuple(
             sorted(
-                (event.time, event.tag or "")
-                for event in self._queue
+                (time, event.tag or "")
+                for time, _, event in self._queue
                 if not (event.cancelled or event.taken)
             )
         )

@@ -113,22 +113,24 @@ class Network:
             raise ConfigurationError(f"unknown destination {dst!r}")
         channel = self._channel(src, dst)
         self.messages_sent += 1
-        record = SendRecord(
-            time=self._sim.now,
-            network=self.name,
-            src=src,
-            dst=dst,
-            src_segment=self._nodes[src].segment,
-            dst_segment=self._nodes[dst].segment,
-            payload=payload,
-        )
         metrics = self._sim.metrics
-        if metrics is not None:
-            metrics.counter("net_messages_total", network=self.name).inc()
-            if record.crosses_segments:
-                metrics.counter("bottleneck_crossings_total", network=self.name).inc()
-        for listener in self._listeners:
-            listener(record)
+        if metrics is not None or self._listeners:
+            # Only observers need the record: an unobserved send skips it.
+            record = SendRecord(
+                time=self._sim.now,
+                network=self.name,
+                src=src,
+                dst=dst,
+                src_segment=self._nodes[src].segment,
+                dst_segment=self._nodes[dst].segment,
+                payload=payload,
+            )
+            if metrics is not None:
+                metrics.counter("net_messages_total", network=self.name).inc()
+                if record.crosses_segments:
+                    metrics.counter("bottleneck_crossings_total", network=self.name).inc()
+            for listener in self._listeners:
+                listener(record)
         channel.send(payload)
 
     def broadcast(self, src: str, payload: Any) -> int:

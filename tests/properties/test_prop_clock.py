@@ -1,6 +1,7 @@
 """Property-based tests for vector clocks."""
 
-from hypothesis import given, strategies as st
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.clock import VectorClock
 
@@ -62,3 +63,142 @@ def test_join_all_dominates_each(clock_list):
     joined = VectorClock.join_all(clock_list)
     for clock in clock_list:
         assert joined.dominates(clock)
+
+
+# -- oracle: the library clock against a dict-based reference ---------------
+#
+# RefClock shares no code with VectorClock: a plain dict of nonzero
+# entries, every operation spelled out the naive way. Clocks of different
+# lengths, with gaps and explicit zero entries, must agree on every
+# observable operation, including after chains of increments and merges.
+
+MAX_PROC = 12
+
+
+class RefClock:
+    def __init__(self, entries=None):
+        self.entries = {proc: count for proc, count in (entries or {}).items() if count}
+
+    def get(self, proc):
+        return self.entries.get(proc, 0)
+
+    def increment(self, proc):
+        entries = dict(self.entries)
+        entries[proc] = entries.get(proc, 0) + 1
+        return RefClock(entries)
+
+    def merge(self, other):
+        procs = set(self.entries) | set(other.entries)
+        return RefClock({proc: max(self.get(proc), other.get(proc)) for proc in procs})
+
+    def dominates(self, other):
+        return all(self.get(proc) >= count for proc, count in other.entries.items())
+
+    def causally_ready(self, clock, sender):
+        if self.get(sender) != clock.get(sender) + 1:
+            return False
+        return all(
+            count <= clock.get(proc)
+            for proc, count in self.entries.items()
+            if proc != sender
+        )
+
+    def processes(self):
+        return sorted(self.entries)
+
+    def text(self):
+        inner = ", ".join(f"{proc}:{count}" for proc, count in sorted(self.entries.items()))
+        return "VC({" + inner + "})"
+
+
+sparse_entries = st.dictionaries(
+    st.integers(0, MAX_PROC), st.integers(0, 4), max_size=MAX_PROC + 1
+)
+procs = st.integers(0, MAX_PROC + 2)
+
+
+def _pair(entries):
+    return VectorClock(entries), RefClock(entries)
+
+
+def _assert_same(clock, ref):
+    for proc in range(MAX_PROC + 4):
+        assert clock.get(proc) == ref.get(proc)
+    assert list(clock.processes()) == ref.processes()
+    assert repr(clock) == ref.text()
+    canonical = VectorClock(ref.entries)
+    assert clock == canonical and hash(clock) == hash(canonical)
+
+
+def _assert_relations(a, ref_a, b, ref_b):
+    assert a.dominates(b) == ref_a.dominates(ref_b)
+    assert (a <= b) == ref_b.dominates(ref_a)
+    same = ref_a.entries == ref_b.entries
+    assert (a == b) == same
+    assert (a != b) == (not same)
+    if same:
+        assert hash(a) == hash(b)
+    assert (a < b) == (ref_b.dominates(ref_a) and not same)
+    for sender in range(MAX_PROC + 2):
+        assert a.causally_ready(b, sender) == ref_a.causally_ready(ref_b, sender)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_entries, sparse_entries)
+def test_oracle_constructed_clocks(a_entries, b_entries):
+    (a, ref_a), (b, ref_b) = _pair(a_entries), _pair(b_entries)
+    _assert_same(a, ref_a)
+    _assert_same(b, ref_b)
+    _assert_relations(a, ref_a, b, ref_b)
+    _assert_relations(b, ref_b, a, ref_a)
+    _assert_same(a.merge(b), ref_a.merge(ref_b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(sparse_entries, min_size=1, max_size=4),
+    st.lists(
+        st.tuples(st.sampled_from(["increment", "merge"]), st.integers(0, 50), procs),
+        max_size=25,
+    ),
+)
+def test_oracle_operation_chains(seeds, steps):
+    clocks = [_pair(entries) for entries in seeds]
+    for op, index, proc in steps:
+        clock, ref = clocks[index % len(clocks)]
+        if op == "increment":
+            result = (clock.increment(proc), ref.increment(proc))
+        else:
+            other, ref_other = clocks[proc % len(clocks)]
+            result = (clock.merge(other), ref.merge(ref_other))
+        _assert_same(*result)
+        clocks.append(result)
+    for clock, ref in clocks:
+        for other, ref_other in clocks:
+            _assert_relations(clock, ref, other, ref_other)
+
+
+def test_explicit_zero_entries_equal_the_empty_clock():
+    assert VectorClock({3: 0}) == VectorClock()
+    assert hash(VectorClock({3: 0})) == hash(VectorClock())
+    assert VectorClock({0: 2, 5: 0}) == VectorClock({0: 2})
+    assert repr(VectorClock({3: 0})) == "VC({})"
+    assert VectorClock({4: 1}).increment(9).merge(VectorClock({11: 0})) == VectorClock(
+        {4: 1, 9: 1}
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: VectorClock({-1: 1}),
+        lambda: VectorClock({-2: 0}),
+        lambda: VectorClock({0: 1}).get(-1),
+        lambda: VectorClock().increment(-1),
+        lambda: VectorClock({0: 1}).causally_ready(VectorClock(), -1),
+    ],
+    ids=["init", "init-zero", "get", "increment", "causally_ready"],
+)
+def test_negative_process_index_raises(call):
+    with pytest.raises(ValueError):
+        call()

@@ -104,3 +104,51 @@ class TestTrafficListeners:
         net.subscribe(records.append)
         net.send("a", "b", "payload")
         assert not records[0].crosses_segments
+
+
+class TestObservedSends:
+    """A send builds its record only when something observes it; every
+    observer must still see every send, and the unobserved path must
+    deliver the same traffic."""
+
+    def run_traffic(self, net, sim):
+        net.broadcast("a", "u1")
+        net.send("b", "c", "v")
+        net.send("c", "a", "w")
+        net.broadcast("c", "u2")
+        sim.run()
+
+    @pytest.mark.parametrize("listen,count", [(True, False), (False, True), (True, True)])
+    def test_listener_and_counters_see_every_send(self, listen, count):
+        from repro.obs.instruments import combine
+        from repro.obs.metrics import MetricsRegistry
+
+        registry = MetricsRegistry()
+        sim = Simulator(instruments=combine(None, registry if count else None))
+        net = Network(sim, name="n")
+        for node, segment in (("a", "lan0"), ("b", "lan0"), ("c", "lan1")):
+            net.add_node(node, lambda src, payload: None, segment)
+        records = []
+        if listen:
+            net.subscribe(records.append)
+        self.run_traffic(net, sim)
+        if listen:
+            assert [(r.src, r.dst, r.payload) for r in records] == [
+                ("a", "b", "u1"), ("a", "c", "u1"), ("b", "c", "v"), ("c", "a", "w"),
+                ("c", "a", "u2"), ("c", "b", "u2"),
+            ]
+        expected_sends, expected_crossings = (6, 5) if count else (0, 0)
+        assert registry.total("net_messages_total") == expected_sends
+        # a->c, b->c, c->a twice and c->b cross between lan0 and lan1.
+        assert registry.total("bottleneck_crossings_total") == expected_crossings
+        assert net.messages_sent == 6
+
+    def test_unobserved_sends_deliver_the_same_traffic(self):
+        observed_sim, observed, observed_inboxes = make_net(["a", "b", "c"])
+        observed.subscribe(lambda record: None)
+        plain_sim, plain, plain_inboxes = make_net(["a", "b", "c"])
+        self.run_traffic(observed, observed_sim)
+        self.run_traffic(plain, plain_sim)
+        assert plain_inboxes == observed_inboxes
+        assert plain.messages_sent == observed.messages_sent == 6
+        assert plain_sim.events_processed == observed_sim.events_processed

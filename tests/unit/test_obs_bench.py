@@ -125,6 +125,9 @@ class TestPerfSuite:
             fake_case("causality_chain5_large", 0.1),
         )
         monkeypatch.setattr(
+            perf, "_case_sim_propagate", fake_case("sim_propagate_3x8x40", 0.2)
+        )
+        monkeypatch.setattr(
             perf, "_case_explorer", lambda scenario, jobs: ([], [])
         )
 
