@@ -37,8 +37,8 @@ from typing import Callable, Optional, Sequence
 from repro.checker import check_causal
 from repro.checker.report import CheckResult
 from repro.errors import CheckerError, ExplorationError
-from repro.explore.fingerprint import _iter_is_processes, state_fingerprint
-from repro.explore.policy import TracePolicy, dependent
+from repro.explore.fingerprint import _iter_is_processes, fingerprinter
+from repro.explore.policy import TracePolicy, target_of
 from repro.sim.core import EnabledEvent
 
 logger = logging.getLogger(__name__)
@@ -162,6 +162,8 @@ class _ExplorerPolicy(TracePolicy):
         self._visited = visited
         self._fingerprint_fn = fingerprint_fn
         self._aliases = aliases
+        #: target_of per tag, resolved once per run.
+        self._targets: dict[str, str] = {}
         self._use_sleep = reduction == "sleep"
         self._use_fingerprints = reduction in ("sleep", "fingerprint")
         self._max_decisions = max_decisions
@@ -177,12 +179,22 @@ class _ExplorerPolicy(TracePolicy):
             self._armed = True
         return pick
 
+    def _target(self, tag: str) -> str:
+        target = self._targets.get(tag)
+        if target is None:
+            target = self._targets[tag] = target_of(tag, self._aliases)
+        return target
+
+    def wakes(self, slept: str, fired: Optional[str]) -> bool:
+        """Whether firing *fired* wakes the sleeping tag *slept*: the
+        memoised form of :func:`repro.explore.policy.dependent`."""
+        return fired is None or self._target(slept) == self._target(fired)
+
     def executed(self, event: EnabledEvent) -> None:
         if self._armed and self._sleep:
+            fired = event.tag
             self._sleep = {
-                tag
-                for tag in self._sleep
-                if not dependent(tag, event.tag, self._aliases)
+                tag for tag in self._sleep if not self.wakes(tag, fired)
             }
 
     def _default_choice(
@@ -327,7 +339,7 @@ def _dfs(
             branch.prefix,
             branch.sleep,
             visited=visited,
-            fingerprint_fn=lambda: state_fingerprint(result),
+            fingerprint_fn=fingerprinter(result),
             aliases=scheduling_aliases(result),
             reduction=reduction,
             max_decisions=max_decisions,

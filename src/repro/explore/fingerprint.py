@@ -25,8 +25,16 @@ tags) are left out for that reason. Sequence numbers and object
 identities that differ between equivalent interleavings are left out
 too. A component that defines no key makes :func:`state_fingerprint`
 raise (``MCSProcess.state_key`` raises :class:`NotImplementedError`; a
-link object without ``state_key`` raises :class:`AttributeError`)
-instead of being silently skipped.
+component or link object without ``state_key`` raises
+:class:`AttributeError`) instead of being silently skipped.
+
+**Per-run plan.** The components of a scenario are fixed once it is
+built, so :func:`fingerprinter` sorts them once and binds their
+``state_key`` methods, in order, into a *plan*: a zero-argument callable
+that calls each method and hashes the tuple of results. The explorer
+builds one plan per run and calls it at every fingerprinted decision
+point. :func:`state_fingerprint` is ``fingerprinter(result)()``, so
+both go through one path and one profile site.
 
 **Soundness.** A key that omits a field which influences the future is
 *coarser*: states that differ in that field compare equal, so *more*
@@ -45,7 +53,8 @@ delivery closures and are not keyed; the oracle holds without them.
 
 from __future__ import annotations
 
-from typing import Any, Iterable
+import functools
+from typing import Any, Callable, Iterable
 
 from repro.obs.profile import profiled
 
@@ -64,26 +73,33 @@ def _iter_is_processes(result) -> Iterable:
     return [seen[name] for name in sorted(seen)]
 
 
-@profiled("explore.state_fingerprint")
-def state_fingerprint(result) -> int:
-    """Fingerprint the global state of a (possibly mid-run) scenario.
+def fingerprinter(result) -> Callable[[], int]:
+    """The fingerprint plan of a built scenario: a zero-argument callable
+    returning the fingerprint of its current global state.
 
-    *result* is a :class:`repro.workloads.scenarios.ScenarioResult`.
-    Returns ``hash()`` of the tuple of component keys: fingerprints are
-    compared only within one explorer invocation (one process and its
+    *result* is a :class:`repro.workloads.scenarios.ScenarioResult`. The
+    plan returns ``hash()`` of the tuple of component keys: fingerprints
+    are compared only within one explorer invocation (one process and its
     forked workers), so the per-process salting of ``hash`` is harmless.
     """
-    parts: list[Any] = []
+    keys: list[Callable[[], Any]] = []
     for system in sorted(result.systems, key=lambda s: s.name):
-        for mcs in sorted(system.mcs_processes, key=lambda m: m.name):
-            parts.append(mcs.state_key())
-        for app in sorted(system.app_processes, key=lambda a: a.name):
-            parts.append(app.state_key())
-    for isp in _iter_is_processes(result):
-        parts.append(isp.state_key())
-    parts.append(result.sim.pending_signature())
-    parts.append(result.recorder.signature())
-    return hash(tuple(parts))
+        keys.extend(mcs.state_key for mcs in sorted(system.mcs_processes, key=lambda m: m.name))
+        keys.extend(app.state_key for app in sorted(system.app_processes, key=lambda a: a.name))
+    keys.extend(isp.state_key for isp in _iter_is_processes(result))
+    keys.append(result.sim.pending_signature)
+    keys.append(result.recorder.signature)
+    return functools.partial(_fingerprint, tuple(keys))
 
 
-__all__ = ["state_fingerprint"]
+@profiled("explore.state_fingerprint")
+def _fingerprint(keys: tuple[Callable[[], Any], ...]) -> int:
+    return hash(tuple([key() for key in keys]))
+
+
+def state_fingerprint(result) -> int:
+    """Fingerprint the global state of a (possibly mid-run) scenario once."""
+    return fingerprinter(result)()
+
+
+__all__ = ["fingerprinter", "state_fingerprint"]

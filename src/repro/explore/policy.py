@@ -9,28 +9,18 @@ scenario always reproduces the same execution — that is what makes
 counterexamples replayable artefacts.
 
 :class:`TracePolicy` follows a trace prefix and then defaults to the first
-candidate (the kernel's own tie-break), recording every decision it takes;
+candidate (the kernel's own tie-break), recording each decision as the
+chosen index (``trace``) and the chosen event's tag (``chosen_tags``);
 it is both the replay vehicle and the base class for the exploring policy
 in :mod:`repro.explore.engine`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import ExplorationError
 from repro.sim.core import EnabledEvent, SchedulerPolicy
-
-
-@dataclass(frozen=True)
-class DecisionPoint:
-    """One recorded branch point of a run."""
-
-    position: int  # decision ordinal within the run
-    chosen: int  # index into the canonical candidate list
-    arity: int
-    tags: tuple[Optional[str], ...]
 
 
 def dependent(tag_a: Optional[str], tag_b: Optional[str], aliases: dict) -> bool:
@@ -65,8 +55,9 @@ class TracePolicy(SchedulerPolicy):
 
     def __init__(self, prefix: Sequence[int] = ()) -> None:
         self.prefix = list(prefix)
-        self.decisions: list[DecisionPoint] = []
         self.trace: list[int] = []
+        #: The tag of the event chosen at each decision, parallel to trace.
+        self.chosen_tags: list[Optional[str]] = []
 
     @property
     def decision_count(self) -> int:
@@ -85,14 +76,7 @@ class TracePolicy(SchedulerPolicy):
         else:
             pick = self._default_choice(position, candidates)
         self.trace.append(pick)
-        self.decisions.append(
-            DecisionPoint(
-                position=position,
-                chosen=pick,
-                arity=len(candidates),
-                tags=tuple(candidate.tag for candidate in candidates),
-            )
-        )
+        self.chosen_tags.append(candidates[pick].tag)
         return pick
 
     def _default_choice(
@@ -102,4 +86,4 @@ class TracePolicy(SchedulerPolicy):
         return 0
 
 
-__all__ = ["TracePolicy", "DecisionPoint", "dependent", "target_of"]
+__all__ = ["TracePolicy", "dependent", "target_of"]

@@ -168,7 +168,7 @@ def _drop_one_event(
     """A shorter failing trace that schedules one event fewer, or None."""
     recorder = TracePolicy(trace)
     _replay(factory, recorder, max_steps)
-    tags = [point.tags[point.chosen] for point in recorder.decisions[: len(trace)]]
+    tags = recorder.chosen_tags[: len(trace)]
     for index in range(len(tags)):
         policy = _TagPolicy(tags[:index] + tags[index + 1 :])
         try:

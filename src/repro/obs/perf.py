@@ -3,7 +3,8 @@
 Unlike the pytest-benchmark modules under ``benchmarks/`` (which print
 rich comparison tables for humans), this suite times the repo's hot
 paths — causality checking, the simulation kernel with a vector-causal
-protocol, and interleaving exploration — directly, and
+protocol, and interleaving exploration (a gated 500-run bridge-p1 search
+plus the ungated sequential-vs-parallel runs) — directly, and
 writes a machine-readable ``BENCH_perf.json`` at the repo root. It is
 what CI's perf-smoke job runs: fast enough for every push, deterministic
 enough to gate on.
@@ -47,6 +48,10 @@ GATE_TOLERANCE = 1.30
 #: Timing rounds of each gated case.
 GATE_ROUNDS = 5
 
+#: A timing round repeats its case until it lasts at least this long, so
+#: millisecond-scale cases are timed over about as long as the calibration.
+MIN_ROUND_SECONDS = 0.05
+
 #: Iterations of the calibration loop (about 20 ms on a 2020s x86 core).
 CALIBRATION_LOOPS = 200_000
 
@@ -65,20 +70,27 @@ def calibrate() -> float:
 
 
 def _best_of(fn: Callable[[], object], rounds: int) -> tuple[float, float, object]:
-    """Time *rounds* runs of *fn*, each just after a :func:`calibrate`.
+    """Time *rounds* rounds of *fn*, each just after a :func:`calibrate`.
 
     The speed of a shared host drifts from one moment to the next, so
-    each round is paired with its own calibration. Returns the seconds
-    and calibration of the round with the lowest ratio of the two, plus
-    the last result.
+    each round is paired with its own calibration. A round calls *fn*
+    until :data:`MIN_ROUND_SECONDS` have passed and counts the seconds
+    per call. Returns the seconds per call and calibration of the round
+    with the lowest ratio of the two, plus the last result.
     """
     best_seconds, best_calibration = float("inf"), 1.0
     value: object = None
     for _ in range(max(1, rounds)):
         calibration = calibrate()
+        calls = 0
         started = time.perf_counter()
-        value = fn()
-        seconds = time.perf_counter() - started
+        while True:
+            value = fn()
+            calls += 1
+            elapsed = time.perf_counter() - started
+            if elapsed >= MIN_ROUND_SECONDS:
+                break
+        seconds = elapsed / calls
         if seconds * best_calibration < best_seconds * calibration:
             best_seconds, best_calibration = seconds, calibration
     return best_seconds, best_calibration, value
@@ -229,6 +241,33 @@ def _explore_summary(outcome) -> dict:
     }
 
 
+#: bridge-p1 totals of a sequential search at a 500-run budget, as they
+#: were before the decision-point fast path; the gated case must match.
+P1_500_TOTALS = dict(explored=99, pruned_fingerprint=209, pruned_sleep=192, distinct_histories=6)
+
+
+def _case_explore_p1(rounds: int) -> dict:
+    """Sequential exploration of bridge-p1 at a 500-run budget: scenario
+    rebuilds, policy steps, fingerprints and verdicts. The totals are
+    pinned to :data:`P1_500_TOTALS`."""
+    from repro.explore import explore
+
+    def once():
+        return explore("bridge-p1", max_interleavings=500, stop_after=None)
+
+    seconds, calibration, outcome = _best_of(once, rounds)
+    summary = _explore_summary(outcome)
+    return {
+        "name": "explore_bridge-p1_500",
+        "seconds": seconds,
+        "calibration_seconds": calibration,
+        "runs_per_second": outcome.runs / seconds,
+        "ok": all(summary[key] == value for key, value in P1_500_TOTALS.items()),
+        "gate": True,
+        **summary,
+    }
+
+
 def _case_explorer(scenario: str, jobs_list: tuple[int, ...]) -> tuple[list[dict], list[str]]:
     """Sequential + parallel exhaustion of *scenario*; certifies parity."""
     from repro.explore import explore_parallel
@@ -318,6 +357,7 @@ def run_perf_suite(
         (_case_checker_sessions, "checker_sessions_320"),
         (_case_causality_chain5, "causality_chain5_large"),
         (_case_sim_propagate, "sim_propagate_3x8x40"),
+        (_case_explore_p1, "explore_bridge-p1_500"),
     ):
         note(label)
         case = runner(GATE_ROUNDS)

@@ -23,6 +23,7 @@ replays exactly.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -250,6 +251,10 @@ class ReliableFifoChannel:
     during a partition window are lost. Each knob breaks exactly one of
     the §1.1 assumptions, which is what the resilience layer repairs and
     what experiment X7 shows to be necessary.
+
+    *rng* is the channel's stream, or a zero-argument callable that
+    derives it on the first draw: a channel with a :class:`FixedDelay`
+    and no fault plan never draws, so it never pays for seeding one.
     """
 
     def __init__(
@@ -258,7 +263,7 @@ class ReliableFifoChannel:
         deliver: Callable[[Any], None],
         delay: DelayModel | float = 0.0,
         availability: AvailabilitySchedule | None = None,
-        rng: random.Random | None = None,
+        rng: random.Random | Callable[[], random.Random] | None = None,
         name: str = "channel",
         faults: FaultPlan | None = None,
     ) -> None:
@@ -266,7 +271,10 @@ class ReliableFifoChannel:
         self._deliver = deliver
         self._delay = FixedDelay(delay) if isinstance(delay, (int, float)) else delay
         self._availability = availability or AlwaysUp()
-        self._rng = rng or random.Random(0)
+        if isinstance(rng, random.Random):
+            self._rng, self._make_rng = rng, None
+        else:
+            self._rng, self._make_rng = None, rng or functools.partial(random.Random, 0)
         self._last_delivery = -math.inf
         self._closed = False
         self._pending = 0
@@ -318,7 +326,8 @@ class ReliableFifoChannel:
             # when the plan is benign, so toggling one fault never perturbs
             # the stream feeding the others. Without a plan (the §1.1
             # channel) the delay is the only draw.
-            r_drop, r_reorder, r_dup = self._rng.random(), self._rng.random(), self._rng.random()
+            rng = self._stream()
+            r_drop, r_reorder, r_dup = rng.random(), rng.random(), rng.random()
             if plan.partitioned_at(now) or r_drop < plan.drop_probability:
                 self.frames_dropped += 1
                 self._sim.trace("msg.drop", self.name, channel=self.name, n=ordinal)
@@ -327,12 +336,12 @@ class ReliableFifoChannel:
                         "channel_frames_dropped_total", channel=self.name
                     ).inc()
                 return now
-        deliver_at = self._availability.next_up(now) + self._delay.sample(self._rng)
+        deliver_at = self._availability.next_up(now) + self._sample_delay()
         tag = self._tag
         if plan is not None and r_reorder < plan.reorder_probability:
             # Escape the FIFO hold-back: this frame's delivery time is
             # independent of its predecessors', so it can overtake them.
-            deliver_at += self._rng.uniform(0.0, plan.reorder_spread)
+            deliver_at += self._stream().uniform(0.0, plan.reorder_spread)
             self.frames_reordered += 1
             tag = f"{tag}#{ordinal}"
         else:
@@ -341,12 +350,24 @@ class ReliableFifoChannel:
         self._schedule_delivery(deliver_at, message, now, ordinal, tag)
         if plan is not None and r_dup < plan.duplicate_probability:
             self.frames_duplicated += 1
-            extra = self._delay.sample(self._rng) + 1e-9
+            extra = self._sample_delay() + 1e-9
             self._schedule_delivery(
                 deliver_at + extra, message, now, ordinal,
                 f"{self._tag}#dup{self.frames_duplicated}",
             )
         return deliver_at
+
+    def _stream(self) -> random.Random:
+        """The channel's rng, derived on the first draw."""
+        if self._rng is None:
+            self._rng = self._make_rng()
+        return self._rng
+
+    def _sample_delay(self) -> float:
+        delay = self._delay
+        if type(delay) is FixedDelay:
+            return delay.delay  # draws nothing, so needs no stream
+        return delay.sample(self._stream())
 
     def _schedule_delivery(
         self, deliver_at: float, message: Any, send_time: float, ordinal: int, tag: str
@@ -391,7 +412,7 @@ class ReliableFifoChannel:
             self.stats.messages_sent,
             self.stats.messages_delivered,
             self._last_delivery,
-            rng_mod.state_key(self._rng),
+            rng_mod.state_key(self._stream()),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

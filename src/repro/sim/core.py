@@ -23,8 +23,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
-from dataclasses import dataclass
-from typing import Any, Callable, Optional, Sequence
+from operator import attrgetter
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.errors import SimulationError
 
@@ -42,9 +42,11 @@ class _ScheduledEvent:
     "unknown component"; all untagged events are conservatively kept in
     order. ``taken`` is set once a policy-driven step executed the event
     out of heap order; the stale heap entry is skipped when it surfaces.
+    ``view`` is the event's :class:`EnabledEvent`, built the first time a
+    policy step offers it and reused at every later step.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "tag", "taken")
+    __slots__ = ("time", "seq", "callback", "cancelled", "tag", "taken", "view")
 
     def __init__(
         self, time: float, seq: int, callback: Callable[[], None], tag: Optional[str]
@@ -55,11 +57,16 @@ class _ScheduledEvent:
         self.cancelled = False
         self.tag = tag
         self.taken = False
+        self.view: Optional[EnabledEvent] = None
+
+    def make_view(self) -> EnabledEvent:
+        self.view = EnabledEvent(self.time, self.seq, self.tag)
+        return self.view
 
 
-@dataclass(frozen=True)
-class EnabledEvent:
-    """What a :class:`SchedulerPolicy` sees of one schedulable event."""
+class EnabledEvent(NamedTuple):
+    """What a :class:`SchedulerPolicy` sees of one schedulable event: an
+    immutable view, built once per event."""
 
     time: float
     seq: int
@@ -86,8 +93,9 @@ class SchedulerPolicy:
 
     def executed(self, event: EnabledEvent) -> None:
         """Called after every event is selected, just before its callback
-        runs — including forced steps with a single candidate. Hooks like
-        sleep-set bookkeeping live here."""
+        runs — including forced steps with a single candidate. *event* is
+        the chosen view itself (the same object :meth:`choose` saw). Hooks
+        like sleep-set bookkeeping live here."""
 
 
 class FifoPolicy(SchedulerPolicy):
@@ -294,7 +302,7 @@ class Simulator:
         """The events a policy may currently choose among: pending events
         at the minimal timestamp, reduced to the earliest per tag group
         (untagged events form one conservative group), sorted by seq."""
-        return [EnabledEvent(event.time, event.seq, event.tag) for event in self._candidates()]
+        return [event.view or event.make_view() for event in self._candidates()]
 
     def _candidates(self) -> list[_ScheduledEvent]:
         """The heap entries behind :meth:`enabled_events`."""
@@ -302,29 +310,26 @@ class Simulator:
         if head is None:
             return []
         now_time = head.time
-        groups: dict[Optional[str], tuple[int, _ScheduledEvent]] = {}
+        groups: dict[Optional[str], _ScheduledEvent] = {}
         for time, seq, event in self._queue:
             if time != now_time or event.cancelled or event.taken:
                 continue
             held = groups.get(event.tag)
-            if held is None or seq < held[0]:
-                groups[event.tag] = (seq, event)
-        return [event for _, event in sorted(groups.values())]
+            if held is None or seq < held.seq:
+                groups[event.tag] = event
+        return sorted(groups.values(), key=attrgetter("seq"))
 
     def _policy_step(self) -> bool:
         candidates = self._candidates()
         if not candidates:
             return False
-        if len(candidates) == 1:
-            chosen = candidates[0]
-        else:
-            infos = [EnabledEvent(e.time, e.seq, e.tag) for e in candidates]
-            index = self._policy.choose(infos)
-            if not 0 <= index < len(candidates):
-                raise SimulationError(
-                    f"scheduler policy chose {index} among {len(candidates)} candidates"
-                )
-            chosen = candidates[index]
+        views = [event.view or event.make_view() for event in candidates]
+        index = 0 if len(views) == 1 else self._policy.choose(views)
+        if not 0 <= index < len(candidates):
+            raise SimulationError(
+                f"scheduler policy chose {index} among {len(candidates)} candidates"
+            )
+        chosen = candidates[index]
         chosen.taken = True
         if chosen is self._queue[0][2]:
             heapq.heappop(self._queue)
@@ -332,7 +337,7 @@ class Simulator:
         self._processed += 1
         if self._event_counter is not None:
             self._event_counter.inc()
-        self._policy.executed(EnabledEvent(chosen.time, chosen.seq, chosen.tag))
+        self._policy.executed(views[index])
         chosen.callback()
         return True
 

@@ -9,6 +9,7 @@ crossing the slow inter-LAN link.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -156,7 +157,7 @@ class Network:
                 self._sim,
                 deliver=lambda payload, _src=src, _node=node: _node.deliver(_src, payload),
                 delay=delay,
-                rng=rng_mod.derive(self._seed, self.name, src, dst),
+                rng=functools.partial(rng_mod.derive, self._seed, self.name, src, dst),
                 name=f"{self.name}:{src}->{dst}",
             )
             self._channels[key] = channel

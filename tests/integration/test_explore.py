@@ -13,17 +13,40 @@ Three layers, mirroring docs/explorer.md:
   deterministically.
 * **Corpus regression** — every minimized schedule in ``tests/corpus/``
   replays strictly (same violation patterns as recorded).
+* **Pinned totals** — a budget-capped bridge-p1 search, sequential and
+  with two workers, reaches exactly the explored, pruned and distinct
+  counts it reached before the decision-point fast path.
 """
 
 import pytest
 
 from repro.explore import (
     explore,
+    explore_parallel,
     get_scenario,
     replay_schedule,
     run_with_trace,
     shrink_counterexample,
 )
+
+#: bridge-p1 at seed 0 with a 500-run budget and ``stop_after=None``:
+#: (explored, fingerprint-pruned, sleep-pruned, distinct terminal
+#: histories) per worker count. Parallel units each get the budget.
+BRIDGE_P1_500 = {1: (99, 209, 192, 6), 2: (2643, 6108, 8195, 84)}
+
+
+@pytest.mark.parametrize("jobs", sorted(BRIDGE_P1_500))
+def test_bridge_p1_budgeted_totals_are_pinned(jobs):
+    result = explore_parallel(
+        "bridge-p1", jobs=jobs, max_interleavings=500, stop_after=None
+    )
+    assert not result.violations, result.summary()
+    assert (
+        result.explored,
+        result.pruned_fingerprint,
+        result.pruned_sleep,
+        result.distinct_histories,
+    ) == BRIDGE_P1_500[jobs], result.summary()
 
 
 @pytest.mark.slow

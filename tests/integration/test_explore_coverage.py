@@ -37,7 +37,7 @@ def _assert_same_coverage(scenario, factory, monkeypatch, expected):
     default = _terminal_histories(scenario, factory)
     fresh = itertools.count()
     with monkeypatch.context() as patch:
-        patch.setattr(engine, "state_fingerprint", lambda result: next(fresh))
+        patch.setattr(engine, "fingerprinter", lambda result: lambda: next(fresh))
         sleep_only = _terminal_histories(scenario, factory)
     assert len(sleep_only) == expected
     assert default == sleep_only

@@ -9,14 +9,20 @@ Before a step the kernel's ``pending``, ``pending_signature()`` and
 ``enabled_events()`` must equal what the reference list says. Whether a
 step is preceded by those queries is drawn too: they drop cancelled
 entries off the heap top, which a bare ``step()`` must do by itself.
+
+The same random programs also run under a randomly choosing
+:class:`SchedulerPolicy`: every decision must offer exactly the group
+heads a from-scratch reference computes, and ``executed()`` must receive
+the view the policy chose.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.core import Simulator
+from repro.sim.core import EnabledEvent, SchedulerPolicy, Simulator
 
 DELAYS = (0.0, 0.5, 1.0, 2.0)
 TAGS = (None, "a", "b", "c")
@@ -133,3 +139,71 @@ def test_kernel_fires_in_reference_order(initial, data):
         if event.fired
     ]
     assert mirror.sim.events_processed == len(mirror.fired)
+
+
+class RandomPolicy(SchedulerPolicy):
+    """Chooses by a drawn index and records what the kernel hands it."""
+
+    def __init__(self, data) -> None:
+        self.data = data
+        self.offered: list[EnabledEvent] = []
+        self.chosen: Optional[EnabledEvent] = None
+        self.executed_views: list[EnabledEvent] = []
+
+    def choose(self, candidates):
+        self.offered = list(candidates)
+        self.chosen = candidates[self.data.draw(st.integers(0, len(candidates) - 1))]
+        return candidates.index(self.chosen)
+
+    def executed(self, event):
+        self.executed_views.append(event)
+
+
+def _reference_heads(live: list[RefEvent]) -> list[RefEvent]:
+    """Group heads of the minimal timestamp, computed from scratch."""
+    head = min(event.time for event in live)
+    at_head = sorted((event for event in live if event.time == head), key=lambda e: e.seq)
+    heads: list[RefEvent] = []
+    for event in at_head:
+        if all(event.tag != kept.tag for kept in heads):
+            heads.append(event)
+    return heads
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(actions, min_size=1, max_size=12), st.data())
+def test_policy_steps_offer_reference_group_heads(initial, data):
+    """Under a random choosing policy, every decision offers exactly the
+    reference group heads, and ``executed()`` receives the chosen view
+    itself (on a forced step, the only candidate's view)."""
+    mirror = Mirror(data)
+    policy = RandomPolicy(data)
+    mirror.sim.policy = policy
+    for action in initial:
+        mirror.apply(action)
+    while True:
+        live = mirror.live()
+        if not live:
+            assert mirror.sim.step() is False
+            break
+        heads = _reference_heads(live)
+        policy.chosen = None
+        already = len(mirror.fired)
+        assert mirror.sim.step() is True
+        executed = policy.executed_views[-1]
+        if len(heads) > 1:
+            assert [(e.time, e.seq, e.tag) for e in policy.offered] == [
+                (e.time, e.seq, e.tag) for e in heads
+            ]
+            assert executed is policy.chosen
+        else:
+            assert policy.chosen is None
+            assert (executed.time, executed.seq, executed.tag) == (
+                heads[0].time, heads[0].seq, heads[0].tag
+            )
+        assert mirror.fired[already] == executed.seq
+        assert mirror.sim.now == executed.time
+        with pytest.raises(AttributeError):
+            executed.tag = "changed"
+    assert all(event.fired or event.cancelled for event in mirror.ref)
+    assert len(policy.executed_views) == len(mirror.fired)

@@ -19,9 +19,10 @@ from repro.explore import (
     shrink_counterexample,
     shrink_trace,
 )
+import repro.explore.engine as engine
 from repro.explore.engine import Counterexample, scheduling_aliases
-from repro.explore.fingerprint import state_fingerprint
-from repro.explore.policy import TracePolicy
+from repro.explore.fingerprint import fingerprinter, state_fingerprint
+from repro.explore.policy import TracePolicy, dependent
 from repro.interconnect.is_process import PropagatedPair
 from repro.memory.interface import MCSProcess
 from repro.sim.clock import VectorClock
@@ -175,6 +176,16 @@ class TestStateFingerprint:
             fingerprints.add(state_fingerprint(result))
         assert len(fingerprints) == 1
 
+    def test_plan_tracks_the_state_like_one_off_fingerprints(self):
+        result = small_bridge_scenario(use_pre_update=False)
+        plan = fingerprinter(result)
+        seen = []
+        while True:
+            assert plan() == state_fingerprint(result)
+            seen.append(plan())
+            if not result.sim.step():
+                break
+        assert len(set(seen)) > 1
 
     def test_read_response_and_sleep_pending_differ(self):
         # After the read completes, the driver's next step (handing the
@@ -218,6 +229,45 @@ class TestSchedulingAliases:
 
     def test_single_system_has_no_aliases(self):
         assert scheduling_aliases(small_fifo_scenario()) == {}
+
+
+def _executed_tags(scenario, monkeypatch, runs=300):
+    """Every tag the explorer's policy sees executed in *runs* runs."""
+    tags = set()
+    executed = engine._ExplorerPolicy.executed
+
+    def recording(policy, event):
+        tags.add(event.tag)
+        executed(policy, event)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(engine._ExplorerPolicy, "executed", recording)
+        explore(scenario, max_interleavings=runs, stop_after=None)
+    return tags
+
+
+class TestSleepWakeups:
+    @pytest.mark.parametrize("scenario", ["bridge-p1", "faulty-fifo"])
+    def test_memoised_wakeup_equals_dependent(self, scenario, monkeypatch):
+        tags = _executed_tags(scenario, monkeypatch)
+        aliases = scheduling_aliases(get_scenario(scenario).factory())
+        policy = engine._ExplorerPolicy(
+            (),
+            frozenset(),
+            visited={},
+            fingerprint_fn=lambda: 0,
+            aliases=aliases,
+            reduction="sleep",
+            max_decisions=None,
+        )
+        outcomes = set()
+        for _ in range(2):  # the second pass reads the memo
+            for slept in tags - {None}:
+                for fired in tags:
+                    wakes = policy.wakes(slept, fired)
+                    assert wakes == dependent(slept, fired, aliases), (slept, fired)
+                    outcomes.add(wakes)
+        assert outcomes == {True, False}
 
 
 class TestRunWithTrace:
@@ -292,6 +342,27 @@ class TestExploreEngine:
         )
         assert raw.pruned_sleep == raw.pruned_fingerprint == 0
         assert reduced.pruned_sleep + reduced.pruned_fingerprint > 0
+
+
+class TestTracePolicy:
+    def test_chosen_tags_follow_the_trace(self):
+        class Recording(TracePolicy):
+            def __init__(self, prefix):
+                super().__init__(prefix)
+                self.offered = []
+
+            def choose(self, candidates):
+                self.offered.append([candidate.tag for candidate in candidates])
+                return super().choose(candidates)
+
+        policy = Recording((0, 1, 1, 0, 1))
+        result = small_fifo_scenario()
+        result.sim.policy = policy
+        result.sim.run()
+        assert len(policy.chosen_tags) == len(policy.trace) == len(policy.offered)
+        assert policy.chosen_tags == [
+            tags[pick] for tags, pick in zip(policy.offered, policy.trace)
+        ]
 
 
 class TestShrink:

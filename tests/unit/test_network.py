@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.sim import rng as rng_mod
+from repro.sim.channel import ReliableFifoChannel, UniformDelay
 from repro.sim.core import Simulator
 from repro.sim.network import Network
 
@@ -152,3 +154,49 @@ class TestObservedSends:
         assert plain_inboxes == observed_inboxes
         assert plain.messages_sent == observed.messages_sent == 6
         assert plain_sim.events_processed == observed_sim.events_processed
+
+
+class TestChannelStreams:
+    """Network channels derive their rng from (seed, network, src, dst)
+    on the first draw; a fixed-delay link never derives one."""
+
+    @staticmethod
+    def _arrivals(sim, send, deliveries):
+        for index in range(20):
+            sim.schedule(0.25 * index, lambda index=index: send(index))
+        sim.run()
+        return repr(deliveries)
+
+    def test_uniform_link_matches_an_eagerly_derived_stream(self):
+        delay = UniformDelay(0.5, 3.0)
+        sim = Simulator()
+        net = Network(sim, seed=7, name="S3")
+        lazy = []
+        net.add_node("a", lambda src, payload: None)
+        net.add_node("b", lambda src, payload: lazy.append((sim.now, payload)))
+        net.set_delay("a", "b", delay)
+
+        eager_sim = Simulator()
+        eager = []
+        channel = ReliableFifoChannel(
+            eager_sim,
+            deliver=lambda payload: eager.append((eager_sim.now, payload)),
+            delay=delay,
+            rng=rng_mod.derive(7, "S3", "a", "b"),
+        )
+        assert self._arrivals(sim, lambda i: net.send("a", "b", i), lazy) == (
+            self._arrivals(eager_sim, channel.send, eager)
+        )
+        assert len(lazy) == 20 and len({time for time, _ in lazy}) > 1
+
+    def test_fixed_delay_link_never_derives_a_stream(self, monkeypatch):
+        derived = []
+        monkeypatch.setattr(rng_mod, "derive", lambda *labels: derived.append(labels))
+        sim, net, inboxes = make_net(["a", "b", "c"], default_delay=1.0)
+        for index in range(5):
+            net.broadcast("a", index)
+            net.send("b", "c", index)
+        sim.run()
+        assert len(inboxes["c"]) == 10
+        assert derived == []
+        assert all(channel._rng is None for channel in net._channels.values())
