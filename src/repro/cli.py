@@ -22,8 +22,9 @@ Commands:
 * ``stats`` — run a deterministic interconnected workload with the
   metrics registry attached and compare the measured message counts
   against the §6 closed-form model.
-* ``bench`` — run the ``benchmarks/`` suite and write a machine-readable
-  ``BENCH_observability.json`` report.
+* ``bench`` — run the checker/simulation/explorer perf suite and its
+  regression gate, and write ``BENCH_perf.json``. (The pytest-benchmark
+  modules under ``benchmarks/`` run with ``pytest benchmarks``.)
 * ``demo`` — a 30-second tour: Theorem 1, the §3 ablation, Lemma 1.
 
 ``-v``/``-q`` (before the subcommand) raise or silence the module
@@ -492,42 +493,16 @@ def _command_stats(args: argparse.Namespace) -> int:
 def _command_bench(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    exit_code = 0
-    if args.suite in ("all", "obs"):
-        from repro.obs.bench import render_results, run_benchmarks
+    from repro.obs.perf import render_perf, run_perf_suite
 
-        results, report_path = run_benchmarks(
-            bench_dir=Path(args.dir) if args.dir else None,
-            only=args.only or None,
-            quick=args.quick,
-            report_path=Path(args.output) if args.output else None,
-            progress=lambda name: print(
-                f"running {name} ...", file=sys.stderr, flush=True
-            ),
-        )
-        print(render_results(results))
-        for result in results:
-            if not result.ok:
-                print(f"\n--- {result.name} (exit {result.returncode}) ---")
-                print(result.output_tail)
-        print(f"\nreport written to {report_path}")
-        if not all(result.ok for result in results):
-            exit_code = 1
-    if args.suite in ("all", "perf"):
-        from repro.obs.perf import render_perf, run_perf_suite
-
-        report, failures, perf_path = run_perf_suite(
-            quick=args.quick,
-            report_path=Path(args.perf_output) if args.perf_output else None,
-            progress=lambda name: print(
-                f"perf: {name} ...", file=sys.stderr, flush=True
-            ),
-        )
-        print(render_perf(report))
-        print(f"\nperf report written to {perf_path}")
-        if failures:
-            exit_code = 1
-    return exit_code
+    report, failures, perf_path = run_perf_suite(
+        quick=args.quick,
+        report_path=Path(args.output) if args.output else None,
+        progress=lambda name: print(f"perf: {name} ...", file=sys.stderr, flush=True),
+    )
+    print(render_perf(report))
+    print(f"\nperf report written to {perf_path}")
+    return 1 if failures else 0
 
 
 def _command_demo(args: argparse.Namespace) -> int:
@@ -778,42 +753,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_parser = commands.add_parser(
         "bench",
-        help=(
-            "run the benchmark suites and write BENCH_observability.json "
-            "+ BENCH_perf.json"
-        ),
+        help="run the perf suite and its regression gate; write BENCH_perf.json",
     )
     bench_parser.add_argument(
         "--quick",
         action="store_true",
-        help=(
-            "smoke mode: one pytest-benchmark round per module (no timing "
-            "stats) and single-round perf cases (the gate still applies)"
-        ),
+        help="smoke mode: the small explorer scenario only (the gate still applies)",
     )
     bench_parser.add_argument(
-        "--suite",
-        choices=("all", "obs", "perf"),
-        default="all",
-        help=(
-            "which suites to run: the pytest-benchmark modules (obs), the "
-            "checker/explorer throughput + regression gate (perf), or both"
-        ),
+        "--output", help="report path (default: BENCH_perf.json in the repo root)"
     )
-    bench_parser.add_argument(
-        "--only",
-        action="append",
-        metavar="SUBSTRING",
-        help="only run benchmark modules whose name contains this (repeatable)",
-    )
-    bench_parser.add_argument(
-        "--output", help="report path (default: BENCH_observability.json in the repo root)"
-    )
-    bench_parser.add_argument(
-        "--perf-output",
-        help="perf report path (default: BENCH_perf.json in the repo root)",
-    )
-    bench_parser.add_argument("--dir", help="benchmarks directory (default: auto-detect)")
 
     demo_parser = commands.add_parser("demo", help="a quick tour of the reproduction")
     demo_parser.add_argument("--seed", type=int, default=0)

@@ -98,9 +98,6 @@ class MCSProcess(SimProcess):
         #: The recovery layer drains these and propagates them late — the
         #: dial-up spirit of §1.1 applied to process failures.
         self.missed_upcalls: list[tuple[str, Any]] = []
-        #: Optional hook invoked as ``listener(mcs, var, value)`` after every
-        #: replica update (own writes included); used by latency metrics.
-        self.update_listener: Optional[Callable[["MCSProcess", str, Any], None]] = None
         network.add_node(name, self._on_message, segment=segment)
 
     # -- application-facing call interface --------------------------------
@@ -170,9 +167,8 @@ class MCSProcess(SimProcess):
             self._replica_applied(var, value, own_write)
 
     def _replica_applied(self, var: str, value: Any, own_write: bool) -> None:
-        """Common post-apply bookkeeping: update listener + trace hook."""
-        if self.update_listener is not None:
-            self.update_listener(self, var, value)
+        """Trace every replica update (own writes included); the latency
+        metrics reduce these ``replica.apply`` events."""
         if self.sim.instruments is not None:
             self.sim.trace(
                 "replica.apply",
@@ -249,7 +245,6 @@ class AppProcess(SimProcess):
         self.ops_completed = 0
         #: Program commands taken so far: the driver's program position.
         self.commands_issued = 0
-        self.response_times: list[float] = []
 
     @staticmethod
     def _as_generator(program: Program):
@@ -328,7 +323,6 @@ class AppProcess(SimProcess):
 
     def _record(self, kind: OpKind, var: str, value: Any, issue_time: float) -> None:
         self.ops_completed += 1
-        self.response_times.append(self.now - issue_time)
         instruments = self.sim.instruments
         if instruments is not None:
             if instruments.metrics is not None:

@@ -25,11 +25,19 @@ class ResponseStats:
 
 
 def response_stats(systems: Iterable[DSMSystem]) -> ResponseStats:
-    """Aggregate response times over every application process."""
+    """Aggregate response times over every application process.
+
+    Read off the recorded history: each operation carries its issue and
+    response times. Samples run system by system, process by process,
+    each in program order.
+    """
     samples: list[float] = []
     for system in systems:
+        history = system.recorder.history()
         for app in system.app_processes:
-            samples.extend(app.response_times)
+            samples.extend(
+                op.response_time - op.issue_time for op in history.of_process(app.name)
+            )
     return ResponseStats.from_samples(samples)
 
 

@@ -1,20 +1,21 @@
 """Write-visibility latency measurement (§6's l, and 3l + 2d).
 
 The paper defines latency as the time until a written value is visible at
-every other process. :class:`VisibilityTracker` hooks every MCS-process's
-replica-update callback and records, per written value, when each replica
-applied it. The *visibility latency* of a write is the span from its first
-application (at the writer, effectively the issue time) to its last
-application anywhere.
+every other process. :class:`VisibilityTracker` reduces the
+``replica.apply`` trace events of the systems it tracks and records, per
+written value, when each replica applied it. The *visibility latency* of
+a write is the span from its first application (at the writer,
+effectively the issue time) to its last application anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
-from repro.memory.interface import MCSProcess
 from repro.memory.system import DSMSystem
+from repro.obs.instruments import observe
+from repro.obs.tracer import TraceEvent, TraceSink
 
 
 @dataclass
@@ -39,57 +40,42 @@ class WriteVisibility:
         return len(self.applied_at)
 
 
-class VisibilityTracker:
+class VisibilityTracker(TraceSink):
     """Tracks when every replica applies every written value."""
 
     def __init__(self) -> None:
         self._records: dict[tuple[str, object], WriteVisibility] = {}
-        self._expected_replicas: Optional[int] = None
-
-    def attach_system(self, system: DSMSystem) -> "VisibilityTracker":
-        for mcs in system.mcs_processes:
-            self.attach_mcs(mcs)
-        return self
+        self._systems: list[DSMSystem] = []
+        self._names: set[str] = set()
 
     def attach_systems(self, systems: Iterable[DSMSystem]) -> "VisibilityTracker":
-        total = 0
         for system in systems:
-            self.attach_system(system)
-            total += len(system.mcs_processes)
-        self._expected_replicas = total
+            self._systems.append(system)
+            self._names.add(system.name)
+            observe(system.sim, self)
         return self
 
-    def attach_mcs(self, mcs: MCSProcess) -> None:
-        previous = mcs.update_listener
-        if previous is not None:
-            def chained(inner: MCSProcess, var: str, value: object) -> None:
-                previous(inner, var, value)
-                self._observe(inner, var, value)
-
-            mcs.update_listener = chained
-        else:
-            mcs.update_listener = self._observe
-
-    def _observe(self, mcs: MCSProcess, var: str, value: object) -> None:
-        key = (var, value)
+    def write(self, event: TraceEvent) -> None:
+        if event.kind != "replica.apply" or event.system not in self._names:
+            return
+        key = (event.arg("var"), event.arg("value"))
         record = self._records.get(key)
         if record is None:
-            record = WriteVisibility(var=var, value=value, first_applied=mcs.now)
+            record = WriteVisibility(var=key[0], value=key[1], first_applied=event.ts)
             self._records[key] = record
-        record.applied_at.setdefault(mcs.name, mcs.now)
+        record.applied_at.setdefault(event.component, event.ts)
 
     @property
     def records(self) -> list[WriteVisibility]:
         return list(self._records.values())
 
     def fully_visible(self) -> list[WriteVisibility]:
-        """Writes applied at every tracked replica (needs attach_systems)."""
-        if self._expected_replicas is None:
-            return self.records
+        """Writes applied at every replica of the tracked systems."""
+        expected = sum(len(system.mcs_processes) for system in self._systems)
         return [
             record
             for record in self._records.values()
-            if record.replica_count() == self._expected_replicas
+            if record.replica_count() == expected
         ]
 
     def worst_latency(self) -> float:

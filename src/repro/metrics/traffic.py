@@ -7,6 +7,9 @@ The §6 model talks about three quantities, all measured here:
 * messages crossing a *bottleneck* (inter-segment) link per write,
 * messages crossing interconnection links (exactly one per write per
   link in the paper's scheme).
+
+:class:`TrafficMeter` reduces the ``net.send`` trace events that
+:meth:`repro.sim.network.Network.send` emits.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from collections import Counter
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Iterable
 
+from repro.obs.instruments import observe
+from repro.obs.tracer import TraceEvent, TraceSink
 from repro.sim.clock import LamportTimestamp, VectorClock
-from repro.sim.network import Network, SendRecord
+from repro.sim.network import Network
 
 #: Fixed per-message overhead charged by :func:`estimate_bytes` (headers,
 #: framing) — a modelling constant, not a protocol property.
@@ -59,8 +64,13 @@ def estimate_bytes(payload: Any) -> int:
 
 
 @dataclass
-class TrafficMeter:
-    """Subscribes to any number of networks and tallies their sends."""
+class TrafficMeter(TraceSink):
+    """Tallies the sends of the networks it is attached to.
+
+    A trace reducer: it counts the ``net.send`` events whose ``network``
+    is one it attached to, so a meter on one network of a shared
+    simulator sees only that network's traffic.
+    """
 
     total: int = 0
     total_bytes: int = 0
@@ -70,21 +80,31 @@ class TrafficMeter:
     by_segment_pair: Counter = field(default_factory=Counter)
     cross_segment: int = 0
     cross_segment_bytes: int = 0
+    networks: set[str] = field(default_factory=set, repr=False)
 
     def attach(self, *networks: Network) -> "TrafficMeter":
         for network in networks:
-            network.subscribe(self._observe)
+            self.networks.add(network.name)
+            observe(network.sim, self)
         return self
 
-    def _observe(self, record: SendRecord) -> None:
-        size = MESSAGE_OVERHEAD_BYTES + estimate_bytes(record.payload)
+    def write(self, event: TraceEvent) -> None:
+        if event.kind != "net.send":
+            return
+        args = dict(event.args)
+        network = args["network"]
+        if network not in self.networks:
+            return
+        payload = args["payload"]
+        kind = type(payload).__name__
+        size = MESSAGE_OVERHEAD_BYTES + estimate_bytes(payload)
         self.total += 1
         self.total_bytes += size
-        self.by_network[record.network] += 1
-        self.by_kind[record.kind] += 1
-        self.by_kind_bytes[record.kind] += size
-        self.by_segment_pair[(record.src_segment, record.dst_segment)] += 1
-        if record.crosses_segments:
+        self.by_network[network] += 1
+        self.by_kind[kind] += 1
+        self.by_kind_bytes[kind] += size
+        self.by_segment_pair[(args["src_segment"], args["dst_segment"])] += 1
+        if args["src_segment"] != args["dst_segment"]:
             self.cross_segment += 1
             self.cross_segment_bytes += size
 

@@ -1,4 +1,4 @@
-"""Observability: structured tracing, metrics, profiling, benchmarking.
+"""Observability: structured tracing, metrics, profiling, the perf suite.
 
 See ``docs/observability.md`` for the user guide. The layer is strictly
 downstream of the simulation — modules here import nothing from
@@ -9,12 +9,13 @@ wall-clock time into a trace, which is what keeps instrumented runs
 bit-for-bit identical to uninstrumented ones.
 """
 
-from repro.obs.instruments import Instruments, combine
+from repro.obs.instruments import Instruments, combine, observe
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.tracer import (
     JsonlSink,
     ListSink,
     RingBufferSink,
+    TeeSink,
     TraceEvent,
     Tracer,
     TraceSink,
@@ -31,10 +32,12 @@ __all__ = [
     "ListSink",
     "MetricsRegistry",
     "RingBufferSink",
+    "TeeSink",
     "TraceEvent",
     "TraceSink",
     "Tracer",
     "combine",
+    "observe",
     "read_jsonl",
     "summarize",
 ]

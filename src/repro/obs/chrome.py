@@ -31,7 +31,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Union
 
-from repro.obs.tracer import TraceEvent
+from repro.obs.tracer import TraceEvent, _encode_arg
 
 #: Microseconds per unit of virtual time (1 sim unit renders as 1 ms).
 TIME_SCALE = 1000.0
@@ -53,7 +53,7 @@ def _flow_key(event: TraceEvent) -> tuple[Any, ...] | None:
 
 
 def _event_args(event: TraceEvent) -> dict[str, Any]:
-    args: dict[str, Any] = dict(event.args)
+    args: dict[str, Any] = {key: _encode_arg(value) for key, value in event.args}
     if event.clock is not None:
         args["vector_clock"] = " ".join(f"p{proc}:{count}" for proc, count in event.clock)
     args["virtual_ts"] = event.ts

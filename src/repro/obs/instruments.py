@@ -17,14 +17,19 @@ and an instrumented run records events/metrics without scheduling
 anything or consuming randomness — so enabling instrumentation cannot
 change a seeded run's history (pinned by
 ``tests/integration/test_obs_overhead.py``).
+
+The trace stream is the only observation hook: a measurement that wants
+to see a run (:class:`repro.metrics.TrafficMeter`,
+:class:`repro.metrics.VisibilityTracker`) is a :class:`TraceSink` that
+reduces events as they are emitted, attached with :func:`observe`.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Optional
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import TeeSink, Tracer, TraceSink
 
 
 class Instruments:
@@ -72,4 +77,22 @@ def combine(
     return Instruments(tracer, metrics)
 
 
-__all__ = ["Instruments", "combine"]
+def observe(sim: Any, sink: TraceSink) -> TraceSink:
+    """Feed *sink* every trace event *sim* emits from now on.
+
+    Installs a tracer on *sink* when *sim* has none; otherwise tees *sink*
+    beside the attached tracer's sink, so both see every event. Observing
+    with the same sink twice is a no-op. Returns *sink*.
+    """
+    instruments = sim.instruments
+    tracer = instruments.tracer if instruments is not None else None
+    if tracer is None:
+        sim.instruments = combine(Tracer(sink), None, instruments)
+        return sink
+    sinks = tracer.sink.sinks if isinstance(tracer.sink, TeeSink) else [tracer.sink]
+    if all(existing is not sink for existing in sinks):
+        tracer.sink = TeeSink(*sinks, sink)
+    return sink
+
+
+__all__ = ["Instruments", "combine", "observe"]

@@ -1,7 +1,9 @@
-"""Checker / simulation / explorer throughput suite with a regression gate.
+"""Checker / simulation / explorer throughput suite with a regression gate
+(``python -m repro bench``).
 
 Unlike the pytest-benchmark modules under ``benchmarks/`` (which print
-rich comparison tables for humans), this suite times the repo's hot
+rich comparison tables for humans and run with plain
+``pytest benchmarks``), this suite times the repo's hot
 paths — causality checking, the simulation kernel with a vector-causal
 protocol, and interleaving exploration (a gated 500-run bridge-p1 search
 plus the ungated sequential-vs-parallel runs) — directly, and
@@ -313,16 +315,16 @@ def _case_explorer(scenario: str, jobs_list: tuple[int, ...]) -> tuple[list[dict
     return cases, failures
 
 
-def default_baseline_path() -> Path:
-    from repro.obs.bench import default_bench_dir
+#: The repo root (``src/repro/obs/perf.py`` -> ``.``).
+_REPO_ROOT = Path(__file__).resolve().parents[3]
 
-    return default_bench_dir() / BASELINE_NAME
+
+def default_baseline_path() -> Path:
+    return _REPO_ROOT / "benchmarks" / BASELINE_NAME
 
 
 def default_report_path() -> Path:
-    from repro.obs.bench import default_bench_dir
-
-    return default_bench_dir().parent / PERF_REPORT
+    return _REPO_ROOT / PERF_REPORT
 
 
 def run_perf_suite(

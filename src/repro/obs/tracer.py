@@ -3,14 +3,17 @@
 A :class:`Tracer` turns the simulation's interesting moments — operations
 completing, messages crossing channels, IS-processes propagating pairs,
 retransmissions, crashes — into typed :class:`TraceEvent` records and
-hands them to a :class:`TraceSink`. Three sinks ship in-tree:
+hands them to a :class:`TraceSink`. Four sinks ship in-tree:
 
 * :class:`ListSink` — unbounded in-memory list (tests, small runs);
 * :class:`RingBufferSink` — bounded in-memory ring (always-on tracing of
   long runs, keep the tail);
 * :class:`JsonlSink` — one JSON object per line on disk, loadable with
   :func:`read_jsonl` and convertible to a Chrome ``trace_event`` file by
-  :mod:`repro.obs.chrome`.
+  :mod:`repro.obs.chrome`;
+* :class:`TeeSink` — forwards each event to several sinks (how
+  :func:`repro.obs.instruments.observe` adds a reducer beside a tracer
+  that is already attached).
 
 Determinism contract: every timestamp in a recorded event is *virtual*
 (simulation) time — never wall-clock — and the event sequence is a pure
@@ -188,6 +191,21 @@ class JsonlSink(TraceSink):
             self._handle.close()
 
 
+class TeeSink(TraceSink):
+    """Forwards every event to each of *sinks*, in order."""
+
+    def __init__(self, *sinks: TraceSink) -> None:
+        self.sinks = list(sinks)
+
+    def write(self, event: TraceEvent) -> None:
+        for sink in self.sinks:
+            sink.write(event)
+
+    def close(self) -> None:
+        for sink in self.sinks:
+            sink.close()
+
+
 def read_jsonl(path: Union[str, Path]) -> list[TraceEvent]:
     """Load the events a :class:`JsonlSink` wrote."""
     events = []
@@ -304,6 +322,7 @@ __all__ = [
     "ListSink",
     "RingBufferSink",
     "JsonlSink",
+    "TeeSink",
     "Tracer",
     "TraceSummary",
     "clock_entries",

@@ -26,7 +26,7 @@ from repro.sim.core import (
     SchedulerPolicy,
     Simulator,
 )
-from repro.sim.network import Network, SendRecord
+from repro.sim.network import Network
 from repro.sim.process import SimProcess
 from repro.sim.rng import derive
 
@@ -48,7 +48,6 @@ __all__ = [
     "UpWindows",
     "PeriodicAvailability",
     "Network",
-    "SendRecord",
     "SimProcess",
     "derive",
 ]

@@ -2,46 +2,22 @@
 
 A :class:`Network` owns a lazily-built full mesh of reliable FIFO channels
 between registered nodes. Each node lives on a named *segment* (think: a
-LAN); traffic listeners observe every send with its source and destination
-segments, which is how the §6 bottleneck-link experiment counts messages
-crossing the slow inter-LAN link.
+LAN). When a tracer is attached, every send is traced as a ``net.send``
+event with its source and destination segments, which is how the §6
+bottleneck-link experiment counts messages crossing the slow inter-LAN
+link (:class:`repro.metrics.TrafficMeter` reduces those events).
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.sim import rng as rng_mod
 from repro.sim.channel import DelayModel, FixedDelay, ReliableFifoChannel
 from repro.sim.core import Simulator
-
-TrafficListener = Callable[["SendRecord"], None]
-
-
-@dataclass(frozen=True)
-class SendRecord:
-    """One message observed on the network, at send time."""
-
-    time: float
-    network: str
-    src: str
-    dst: str
-    src_segment: str
-    dst_segment: str
-    payload: Any
-
-    @property
-    def crosses_segments(self) -> bool:
-        return self.src_segment != self.dst_segment
-
-    @property
-    def kind(self) -> str:
-        """A coarse classification of the payload (its type name)."""
-        return type(self.payload).__name__
-
 
 @dataclass
 class _Node:
@@ -59,7 +35,7 @@ class Network:
         seed: int = 0,
         name: str = "net",
     ) -> None:
-        self._sim = sim
+        self.sim = sim
         self._default_delay = (
             FixedDelay(default_delay) if isinstance(default_delay, (int, float)) else default_delay
         )
@@ -68,7 +44,6 @@ class Network:
         self._nodes: dict[str, _Node] = {}
         self._channels: dict[tuple[str, str], ReliableFifoChannel] = {}
         self._delays: dict[tuple[str, str], DelayModel] = {}
-        self._listeners: list[TrafficListener] = []
         self.messages_sent = 0
 
     def add_node(
@@ -102,10 +77,6 @@ class Network:
             raise ConfigurationError(f"channel {src}->{dst} already in use")
         self._delays[key] = FixedDelay(delay) if isinstance(delay, (int, float)) else delay
 
-    def subscribe(self, listener: TrafficListener) -> None:
-        """Observe every send on this network."""
-        self._listeners.append(listener)
-
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send *payload* from node *src* to node *dst* (FIFO per pair)."""
         if src not in self._nodes:
@@ -114,24 +85,26 @@ class Network:
             raise ConfigurationError(f"unknown destination {dst!r}")
         channel = self._channel(src, dst)
         self.messages_sent += 1
-        metrics = self._sim.metrics
-        if metrics is not None or self._listeners:
-            # Only observers need the record: an unobserved send skips it.
-            record = SendRecord(
-                time=self._sim.now,
-                network=self.name,
-                src=src,
-                dst=dst,
-                src_segment=self._nodes[src].segment,
-                dst_segment=self._nodes[dst].segment,
-                payload=payload,
-            )
+        instruments = self.sim.instruments
+        if instruments is not None:
+            src_segment = self._nodes[src].segment
+            dst_segment = self._nodes[dst].segment
+            metrics = instruments.metrics
             if metrics is not None:
                 metrics.counter("net_messages_total", network=self.name).inc()
-                if record.crosses_segments:
+                if src_segment != dst_segment:
                     metrics.counter("bottleneck_crossings_total", network=self.name).inc()
-            for listener in self._listeners:
-                listener(record)
+            if instruments.tracer is not None:
+                instruments.tracer.emit(
+                    self.sim.now,
+                    "net.send",
+                    src,
+                    network=self.name,
+                    dst=dst,
+                    src_segment=src_segment,
+                    dst_segment=dst_segment,
+                    payload=payload,
+                )
         channel.send(payload)
 
     def broadcast(self, src: str, payload: Any) -> int:
@@ -154,7 +127,7 @@ class Network:
             delay = self._delays.get(key, self._default_delay)
             node = self._nodes[dst]
             channel = ReliableFifoChannel(
-                self._sim,
+                self.sim,
                 deliver=lambda payload, _src=src, _node=node: _node.deliver(_src, payload),
                 delay=delay,
                 rng=functools.partial(rng_mod.derive, self._seed, self.name, src, dst),
@@ -164,4 +137,4 @@ class Network:
         return channel
 
 
-__all__ = ["Network", "SendRecord", "TrafficListener"]
+__all__ = ["Network"]

@@ -208,37 +208,11 @@ class TestStatsCommand:
 
 
 class TestBenchCommand:
-    def test_fake_suite(self, tmp_path, capsys):
-        bench_dir = tmp_path / "benchmarks"
-        bench_dir.mkdir()
-        (bench_dir / "bench_ok.py").write_text(
-            "def test_ok():\n    assert True\n", encoding="utf-8"
-        )
-        report = tmp_path / "report.json"
-        code = main(
-            [
-                "bench",
-                "--quick",
-                "--suite",
-                "obs",
-                "--dir",
-                str(bench_dir),
-                "--output",
-                str(report),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert report.exists()
-        assert "bench_ok" in out
-
     def test_perf_suite_quick(self, tmp_path, capsys):
         # The real perf suite in quick mode, redirected away from the
         # committed repo-root report.
         report = tmp_path / "perf.json"
-        code = main(
-            ["bench", "--quick", "--suite", "perf", "--perf-output", str(report)]
-        )
+        code = main(["bench", "--quick", "--output", str(report)])
         out = capsys.readouterr().out
         assert code == 0
         assert report.exists()

@@ -8,6 +8,8 @@ from repro.memory.operations import INITIAL_VALUE, OpKind
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
+from repro.obs.instruments import observe
+from repro.obs.tracer import ListSink
 from repro.protocols.base import ProtocolSpec
 from repro.sim.core import Simulator
 from repro.sim.network import Network
@@ -102,10 +104,14 @@ class TestAppProcess:
             sim.run()
 
     def test_response_times_recorded(self):
-        sim, _, system = make_system()
-        app = system.add_application("A", [Write("x", 1), Read("x")])
+        sim, recorder, system = make_system()
+        system.add_application("A", [Write("x", 1), Sleep(2.0), Read("x")])
         sim.run()
-        assert app.response_times == [0.0, 0.0]
+        ops = recorder.history().of_process("A")
+        assert [(op.issue_time, op.response_time) for op in ops] == [
+            (0.0, 0.0),
+            (2.0, 2.0),
+        ]
 
 
 class TestUpcalls:
@@ -168,13 +174,18 @@ class TestUpcalls:
         with pytest.raises(ProtocolError):
             mcs.attach_upcall_handler(UpcallHandler())
 
-    def test_update_listener_invoked(self):
-        _, mcs = self.make_mcs()
-        seen = []
-        mcs.update_listener = lambda inner, var, value: seen.append((var, value))
+    def test_replica_apply_traced(self):
+        sim, mcs = self.make_mcs()
+        sink = observe(sim, ListSink())
         mcs._apply_with_upcalls("x", 1, lambda: None, own_write=True)
         mcs._apply_with_upcalls("y", 2, lambda: None, own_write=False)
-        assert seen == [("x", 1), ("y", 2)]
+        assert [
+            (event.kind, event.component, event.system, dict(event.args))
+            for event in sink.events
+        ] == [
+            ("replica.apply", "m", "S", {"var": "x", "value": 1, "own_write": True}),
+            ("replica.apply", "m", "S", {"var": "y", "value": 2, "own_write": False}),
+        ]
 
 
 class TestQuiescence:

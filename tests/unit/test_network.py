@@ -87,31 +87,51 @@ class TestSend:
             net.set_delay("a", "b", 9.0)
 
 
+def traced_net(node_names, segments):
+    """A network on a simulator whose tracer records into a list."""
+    from repro.obs.instruments import combine
+    from repro.obs.tracer import ListSink, Tracer
+
+    sink = ListSink()
+    sim = Simulator(instruments=combine(Tracer(sink), None))
+    net = Network(sim, name="n")
+    for node, segment in zip(node_names, segments):
+        net.add_node(node, lambda src, payload: None, segment)
+    return sim, net, sink
+
+
+def sends(sink):
+    return [event for event in sink.events if event.kind == "net.send"]
+
+
 class TestTrafficListeners:
+    """Trace sinks listening to a network see one ``net.send`` per send."""
+
     def test_listener_sees_segments(self):
-        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan1"])
-        records = []
-        net.subscribe(records.append)
+        sim, net, sink = traced_net(["a", "b"], ["lan0", "lan1"])
         net.send("a", "b", "payload")
-        assert len(records) == 1
-        record = records[0]
-        assert record.src_segment == "lan0"
-        assert record.dst_segment == "lan1"
-        assert record.crosses_segments
-        assert record.kind == "str"
+        [event] = sends(sink)
+        assert event.component == "a"
+        assert event.ts == sim.now
+        assert dict(event.args) == {
+            "network": "n",
+            "dst": "b",
+            "src_segment": "lan0",
+            "dst_segment": "lan1",
+            "payload": "payload",
+        }
 
     def test_same_segment_does_not_cross(self):
-        sim, net, _ = make_net(["a", "b"], segments=["lan0", "lan0"])
-        records = []
-        net.subscribe(records.append)
+        _, net, sink = traced_net(["a", "b"], ["lan0", "lan0"])
         net.send("a", "b", "payload")
-        assert not records[0].crosses_segments
+        [event] = sends(sink)
+        assert event.arg("src_segment") == event.arg("dst_segment") == "lan0"
 
 
 class TestObservedSends:
-    """A send builds its record only when something observes it; every
-    observer must still see every send, and the unobserved path must
-    deliver the same traffic."""
+    """An observed send is traced and counted only when something observes
+    it; every observer must still see every send, and the unobserved path
+    must deliver the same traffic."""
 
     def run_traffic(self, net, sim):
         net.broadcast("a", "u1")
@@ -124,30 +144,45 @@ class TestObservedSends:
     def test_listener_and_counters_see_every_send(self, listen, count):
         from repro.obs.instruments import combine
         from repro.obs.metrics import MetricsRegistry
+        from repro.obs.tracer import ListSink, Tracer
 
         registry = MetricsRegistry()
-        sim = Simulator(instruments=combine(None, registry if count else None))
+        sink = ListSink()
+        sim = Simulator(
+            instruments=combine(
+                Tracer(sink) if listen else None, registry if count else None
+            )
+        )
         net = Network(sim, name="n")
         for node, segment in (("a", "lan0"), ("b", "lan0"), ("c", "lan1")):
             net.add_node(node, lambda src, payload: None, segment)
-        records = []
-        if listen:
-            net.subscribe(records.append)
         self.run_traffic(net, sim)
-        if listen:
-            assert [(r.src, r.dst, r.payload) for r in records] == [
-                ("a", "b", "u1"), ("a", "c", "u1"), ("b", "c", "v"), ("c", "a", "w"),
-                ("c", "a", "u2"), ("c", "b", "u2"),
-            ]
+        traced = [
+            (event.component, event.arg("dst"), event.arg("payload"),
+             event.arg("src_segment"), event.arg("dst_segment"))
+            for event in sends(sink)
+        ]
+        assert traced == ([
+            ("a", "b", "u1", "lan0", "lan0"), ("a", "c", "u1", "lan0", "lan1"),
+            ("b", "c", "v", "lan0", "lan1"), ("c", "a", "w", "lan1", "lan0"),
+            ("c", "a", "u2", "lan1", "lan0"), ("c", "b", "u2", "lan1", "lan0"),
+        ] if listen else [])
         expected_sends, expected_crossings = (6, 5) if count else (0, 0)
         assert registry.total("net_messages_total") == expected_sends
         # a->c, b->c, c->a twice and c->b cross between lan0 and lan1.
         assert registry.total("bottleneck_crossings_total") == expected_crossings
+        if listen and count:
+            crossing = [event for event in traced if event[3] != event[4]]
+            assert len(traced) == registry.total("net_messages_total")
+            assert len(crossing) == registry.total("bottleneck_crossings_total")
         assert net.messages_sent == 6
 
     def test_unobserved_sends_deliver_the_same_traffic(self):
+        from repro.obs.instruments import combine
+        from repro.obs.tracer import ListSink, Tracer
+
         observed_sim, observed, observed_inboxes = make_net(["a", "b", "c"])
-        observed.subscribe(lambda record: None)
+        observed_sim.instruments = combine(Tracer(ListSink()), None)
         plain_sim, plain, plain_inboxes = make_net(["a", "b", "c"])
         self.run_traffic(observed, observed_sim)
         self.run_traffic(plain, plain_sim)

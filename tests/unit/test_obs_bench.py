@@ -1,94 +1,56 @@
-"""Unit tests for the unified benchmark runner (against a fake suite)
-and the perf suite's regression gate (against canned case timings)."""
+"""Unit tests for the benchmark pipelines: ``pytest benchmarks`` collects
+the ``bench_*.py`` modules, and ``repro bench`` runs the perf suite's
+regression gate (here against canned case timings)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.obs import perf
-from repro.obs.bench import (
-    default_bench_dir,
-    discover,
-    render_results,
-    run_benchmarks,
-)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 PASSING = """
 def test_fast():
     assert 1 + 1 == 2
 """
 
-FAILING = """
-def test_broken():
-    assert False, "deliberately failing"
-"""
 
-
-def fake_suite(tmp_path):
-    bench_dir = tmp_path / "benchmarks"
-    bench_dir.mkdir()
-    (bench_dir / "bench_alpha.py").write_text(PASSING, encoding="utf-8")
-    (bench_dir / "bench_beta.py").write_text(FAILING, encoding="utf-8")
-    (bench_dir / "not_a_bench.py").write_text(PASSING, encoding="utf-8")
-    return bench_dir
+def collected(bench_dir):
+    """Test ids ``pytest --collect-only`` finds under *bench_dir*, using the
+    repo's pytest configuration."""
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "--collect-only",
+            "-p", "no:cacheprovider", "-c", str(REPO_ROOT / "pyproject.toml"),
+            "--rootdir", str(bench_dir.parent), str(bench_dir),
+        ],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    return [line for line in proc.stdout.splitlines() if "::" in line]
 
 
 class TestDiscovery:
     def test_only_bench_modules_found(self, tmp_path):
-        bench_dir = fake_suite(tmp_path)
-        assert [path.stem for path in discover(bench_dir)] == [
-            "bench_alpha",
-            "bench_beta",
+        bench_dir = tmp_path / "benchmarks"
+        bench_dir.mkdir()
+        for name in ("bench_alpha.py", "bench_beta.py", "not_a_bench.py"):
+            (bench_dir / name).write_text(PASSING, encoding="utf-8")
+        assert collected(bench_dir) == [
+            "benchmarks/bench_alpha.py::test_fast",
+            "benchmarks/bench_beta.py::test_fast",
         ]
 
     def test_default_dir_is_the_repo_suite(self):
-        bench_dir = default_bench_dir()
-        assert bench_dir.name == "benchmarks"
-        assert discover(bench_dir), "repo benchmark suite should be discoverable"
-
-
-class TestRunner:
-    def test_report_written_and_failures_reported(self, tmp_path):
-        bench_dir = fake_suite(tmp_path)
-        report_path = tmp_path / "report.json"
-        results, written_to = run_benchmarks(
-            bench_dir=bench_dir, quick=True, report_path=report_path
-        )
-        assert written_to == report_path
-        by_name = {result.name: result for result in results}
-        assert by_name["bench_alpha"].ok
-        assert not by_name["bench_beta"].ok
-        assert "deliberately failing" in by_name["bench_beta"].output_tail
-
-        blob = json.loads(report_path.read_text(encoding="utf-8"))
-        assert blob["suite"] == "repro-benchmarks"
-        assert blob["mode"] == "quick"
-        assert blob["ok"] is False
-        assert [entry["name"] for entry in blob["benchmarks"]] == [
-            "bench_alpha",
-            "bench_beta",
-        ]
-        assert all("wall_seconds" in entry for entry in blob["benchmarks"])
-
-    def test_only_filter(self, tmp_path):
-        bench_dir = fake_suite(tmp_path)
-        results, _ = run_benchmarks(
-            bench_dir=bench_dir,
-            only=["alpha"],
-            quick=True,
-            report_path=tmp_path / "report.json",
-        )
-        assert [result.name for result in results] == ["bench_alpha"]
-
-    def test_render(self, tmp_path):
-        bench_dir = fake_suite(tmp_path)
-        results, _ = run_benchmarks(
-            bench_dir=bench_dir, quick=True, report_path=tmp_path / "report.json"
-        )
-        rendered = render_results(results)
-        assert "bench_alpha" in rendered
-        assert "FAIL" in rendered
-        assert render_results([]) == "no benchmark modules found"
+        bench_dir = perf.default_baseline_path().parent
+        assert bench_dir == REPO_ROOT / "benchmarks"
+        assert sorted(bench_dir.glob("bench_*.py")), "repo benchmark suite should exist"
+        assert perf.default_report_path() == REPO_ROOT / "BENCH_perf.json"
 
 
 class TestPerfSuite:

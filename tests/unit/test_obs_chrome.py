@@ -111,3 +111,20 @@ class TestWriteChrome:
         count = write_chrome(traced_bridge_events(), path)
         blob = json.loads(path.read_text(encoding="utf-8"))
         assert len(blob["traceEvents"]) == count
+
+    def test_net_send_payloads_are_encoded(self, tmp_path):
+        # net.send events carry protocol messages (not JSON-native); the
+        # exporter renders them the way JsonlSink does instead of crashing.
+        events = traced_bridge_events()
+        sends = [event for event in events if event.kind == "net.send"]
+        assert sends, "the bridge run should trace its network sends"
+        path = tmp_path / "trace.chrome.json"
+        write_chrome(sends, path)
+        records = json.loads(path.read_text(encoding="utf-8"))["traceEvents"]
+        exported = [record for record in records if record["name"] == "net.send"]
+        assert [record["args"]["payload"] for record in exported] == [
+            repr(event.arg("payload")) for event in sends
+        ]
+        assert {record["args"]["network"] for record in exported} == {
+            event.arg("network") for event in sends
+        }

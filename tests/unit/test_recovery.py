@@ -12,6 +12,8 @@ from repro.errors import ProtocolError
 from repro.interconnect.is_process import PropagatedPair
 from repro.memory.interface import MCSProcess, UpcallHandler
 from repro.memory.recorder import HistoryRecorder
+from repro.obs.instruments import observe
+from repro.obs.tracer import ListSink
 from repro.resilience.recovery import RecoverableISProcess
 from repro.resilience.transport import ResilientTransport, RetryPolicy
 from repro.sim.channel import FaultPlan
@@ -253,10 +255,13 @@ class TestMissedUpcallQueue:
         assert handler.delivered == [("x", 1)]
         assert mcs.missed_upcalls == []
 
-    def test_update_listener_fires_even_while_queued(self):
+    def test_replica_apply_traced_even_while_queued(self):
         mcs, handler = self.make_mcs()
-        seen = []
-        mcs.update_listener = lambda mcs, var, value: seen.append((var, value))
+        sink = observe(mcs.sim, ListSink())
         handler.accepting_upcalls = False
         mcs.issue_write("x", 1, lambda: None)
-        assert seen == [("x", 1)]
+        applied = [event for event in sink.events if event.kind == "replica.apply"]
+        assert [(e.component, e.arg("var"), e.arg("value")) for e in applied] == [
+            ("m0", "x", 1)
+        ]
+        assert mcs.missed_upcalls == [("x", 1)]
