@@ -12,9 +12,10 @@ workload:
 """
 
 from repro.checker import check_causal
+from repro.experiments import response_stats
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter, response_stats
+from repro.obs import TrafficMeter
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system

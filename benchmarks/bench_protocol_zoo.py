@@ -8,9 +8,9 @@ weaker ones fail the checker.
 """
 
 from repro.checker import check_causal, check_causal_convergence, check_sequential
+from repro.experiments import response_stats
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import response_stats
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system

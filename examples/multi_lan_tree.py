@@ -30,7 +30,7 @@ from repro.analysis import (
     interconnected_messages_per_write,
     star_worst_latency,
 )
-from repro.metrics import TrafficMeter, VisibilityTracker
+from repro.obs import TrafficMeter, VisibilityTracker
 from repro.workloads import WorkloadSpec, populate_system
 
 LANS = 4

@@ -19,7 +19,7 @@ from repro import (
     get_protocol,
 )
 from repro.checker import check_causal_convergence, check_pram
-from repro.metrics import response_stats
+from repro.experiments import response_stats
 from repro.workloads import WorkloadSpec, populate_system
 from repro.workloads.scenarios import run_until_quiescent
 

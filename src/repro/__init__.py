@@ -19,8 +19,9 @@ The library provides, bottom-up:
 * :mod:`repro.checker` — causal/sequential/PRAM/cache consistency
   checkers over recorded computations (polynomial bad-pattern checker
   plus a certificate-producing view search);
-* :mod:`repro.workloads`, :mod:`repro.metrics`, :mod:`repro.analysis` —
-  workload generators, measurement, and the §6 analytical model.
+* :mod:`repro.workloads`, :mod:`repro.obs`, :mod:`repro.analysis` —
+  workload generators, measurement (tracing, the metrics registry and
+  the §6 traffic and visibility reducers), and the §6 analytical model.
 
 Quickstart::
 

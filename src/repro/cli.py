@@ -405,8 +405,7 @@ def _command_stats(args: argparse.Namespace) -> int:
         flat_messages_per_write,
         interconnected_messages_per_write,
     )
-    from repro.metrics.traffic import TrafficMeter
-    from repro.obs import MetricsRegistry
+    from repro.obs import MetricsRegistry, TrafficMeter
 
     protocols = args.protocols.split(",")
     for name in protocols:

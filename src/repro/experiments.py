@@ -9,12 +9,15 @@ configuration; the callers decide what to sweep and how to present it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Sequence
+
 from repro.checker import check_causal, check_sequential
 from repro.interconnect.topology import interconnect
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import ResponseStats, TrafficMeter, VisibilityTracker, response_stats
+from repro.obs import TrafficMeter, VisibilityTracker
 from repro.protocols import get
 from repro.sim.channel import PeriodicAvailability
 from repro.sim.core import Simulator
@@ -154,6 +157,39 @@ def latency_tree(
 # -- E5: response time --------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class ResponseStats:
+    """Summary statistics of operation response times (§6: "our
+    IS-protocols should not affect the response time a process observes")."""
+
+    count: int
+    mean: float
+    maximum: float
+
+    @classmethod
+    def from_samples(cls, samples: Sequence[float]) -> "ResponseStats":
+        if not samples:
+            return cls(count=0, mean=0.0, maximum=0.0)
+        return cls(count=len(samples), mean=sum(samples) / len(samples), maximum=max(samples))
+
+
+def response_stats(systems: Iterable[DSMSystem]) -> ResponseStats:
+    """Aggregate response times over every application process.
+
+    Read off the recorded history: each operation carries its issue and
+    response times. Samples run system by system, process by process,
+    each in program order.
+    """
+    samples: list[float] = []
+    for system in systems:
+        history = system.recorder.history()
+        for app in system.app_processes:
+            samples.extend(
+                op.response_time - op.issue_time for op in history.of_process(app.name)
+            )
+    return ResponseStats.from_samples(samples)
+
+
 def response_time(protocols: list[str], seed: int = 5) -> ResponseStats:
     """Response-time stats of the first system's processes."""
     spec = WorkloadSpec(processes=4, ops_per_process=6, write_ratio=0.5)
@@ -263,6 +299,8 @@ __all__ = [
     "crossings_per_write_bridged",
     "latency_flat",
     "latency_tree",
+    "ResponseStats",
+    "response_stats",
     "response_time",
     "section3_violation_rate",
     "lemma1_violation_rate",

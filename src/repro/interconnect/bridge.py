@@ -295,7 +295,7 @@ def connect(
         )
     isp_a.add_peer(isp_b.name, channel_ab)
     isp_b.add_peer(isp_a.name, channel_ba)
-    if sim.instruments is not None:
+    if sim.tracer is not None:
         sim.trace(
             "bridge.connect",
             bridge_name,
@@ -304,8 +304,6 @@ def connect(
             transport=transport,
             shared=shared,
         )
-        if sim.metrics is not None:
-            sim.metrics.counter("bridges_total").inc()
     return Bridge(
         name=bridge_name,
         system_a=system_a,

@@ -164,7 +164,7 @@ class ISProcess(SimProcess, UpcallHandler):
 
     def pre_update(self, var: str) -> None:
         """Task ``Pre_Propagate_out`` (Fig. 2): read the old value of *var*."""
-        if self.sim.instruments is not None:
+        if self.sim.tracer is not None:
             self.trace(
                 "is.pre_update",
                 system=self.mcs.system_name,
@@ -175,7 +175,7 @@ class ISProcess(SimProcess, UpcallHandler):
 
     def post_update(self, var: str, value: Any) -> None:
         """Task ``Propagate_out`` (Fig. 1): read *var* and send the pair."""
-        if self.sim.instruments is not None:
+        if self.sim.tracer is not None:
             self.trace(
                 "is.post_update",
                 system=self.mcs.system_name,
@@ -228,23 +228,16 @@ class ISProcess(SimProcess, UpcallHandler):
 
     def _send_pair(self, link: _PeerLink, pair: PropagatedPair) -> None:
         link.pairs_sent += 1
-        instruments = self.sim.instruments
-        if instruments is not None:
-            link_label = f"{self.name}->{link.peer_name}"
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "is_pairs_sent_total", link=link_label
-                ).inc()
-            if instruments.tracer is not None:
-                self.trace(
-                    "is.pair_send",
-                    system=self.mcs.system_name,
-                    link=link_label,
-                    seq=link.pairs_sent,
-                    var=pair.var,
-                    value=pair.value,
-                    clock=getattr(self.mcs, "clock", None),
-                )
+        if self.sim.tracer is not None:
+            self.trace(
+                "is.pair_send",
+                system=self.mcs.system_name,
+                link=f"{self.name}->{link.peer_name}",
+                seq=link.pairs_sent,
+                var=pair.var,
+                value=pair.value,
+                clock=getattr(self.mcs, "clock", None),
+            )
         if not self.coalesce_queued or link.channel.is_up:
             self._flush_outbox(link)
             link.channel.send((self.name, pair))
@@ -288,22 +281,15 @@ class ISProcess(SimProcess, UpcallHandler):
         if link is None:
             raise ProtocolError(f"{self.name}: pair from unknown peer {from_peer!r}")
         link.pairs_received += 1
-        instruments = self.sim.instruments
-        if instruments is not None:
-            link_label = f"{from_peer}->{self.name}"
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "is_pairs_received_total", link=link_label
-                ).inc()
-            if instruments.tracer is not None:
-                self.trace(
-                    "is.pair_recv",
-                    system=self.mcs.system_name,
-                    link=link_label,
-                    seq=link.pairs_received,
-                    var=pair.var,
-                    value=pair.value,
-                )
+        if self.sim.tracer is not None:
+            self.trace(
+                "is.pair_recv",
+                system=self.mcs.system_name,
+                link=f"{from_peer}->{self.name}",
+                seq=link.pairs_received,
+                var=pair.var,
+                value=pair.value,
+            )
         if self.dedup_incoming:
             key = (pair.var, pair.value)
             if key in self._seen_pairs:

@@ -169,7 +169,7 @@ class MCSProcess(SimProcess):
     def _replica_applied(self, var: str, value: Any, own_write: bool) -> None:
         """Trace every replica update (own writes included); the latency
         metrics reduce these ``replica.apply`` events."""
-        if self.sim.instruments is not None:
+        if self.sim.tracer is not None:
             self.sim.trace(
                 "replica.apply",
                 self.name,
@@ -323,30 +323,23 @@ class AppProcess(SimProcess):
 
     def _record(self, kind: OpKind, var: str, value: Any, issue_time: float) -> None:
         self.ops_completed += 1
-        instruments = self.sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "ops_completed_total",
-                    system=self.mcs.system_name,
-                    kind=kind.value,
-                ).inc()
-            if instruments.tracer is not None:
-                # Span from issue to response: the operation's latency as
-                # one Chrome "complete" bar on the issuing process's row.
-                instruments.tracer.emit(
-                    issue_time,
-                    "op",
-                    self.name,
-                    system=self.mcs.system_name,
-                    phase="X",
-                    dur=self.now - issue_time,
-                    clock=getattr(self.mcs, "clock", None),
-                    op=kind.value,
-                    var=var,
-                    value=value,
-                    interconnect=self.is_interconnect,
-                )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            # Span from issue to response: the operation's latency as one
+            # Chrome "complete" bar on the issuing process's row.
+            tracer.emit(
+                issue_time,
+                "op",
+                self.name,
+                system=self.mcs.system_name,
+                phase="X",
+                dur=self.now - issue_time,
+                clock=getattr(self.mcs, "clock", None),
+                op=kind.value,
+                var=var,
+                value=value,
+                interconnect=self.is_interconnect,
+            )
         self.recorder.record(
             kind=kind,
             proc=self.name,

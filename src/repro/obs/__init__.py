@@ -1,4 +1,5 @@
-"""Observability: structured tracing, metrics, profiling, the perf suite.
+"""Observability: structured tracing, metrics, the §6 measurements,
+profiling, the perf suite.
 
 See ``docs/observability.md`` for the user guide. The layer is strictly
 downstream of the simulation — modules here import nothing from
@@ -11,6 +12,13 @@ bit-for-bit identical to uninstrumented ones.
 
 from repro.obs.instruments import Instruments, combine, observe
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.reducers import (
+    MESSAGE_OVERHEAD_BYTES,
+    TrafficMeter,
+    VisibilityTracker,
+    WriteVisibility,
+    estimate_bytes,
+)
 from repro.obs.tracer import (
     JsonlSink,
     ListSink,
@@ -24,6 +32,7 @@ from repro.obs.tracer import (
 )
 
 __all__ = [
+    "MESSAGE_OVERHEAD_BYTES",
     "Counter",
     "Gauge",
     "Histogram",
@@ -36,7 +45,11 @@ __all__ = [
     "TraceEvent",
     "TraceSink",
     "Tracer",
+    "TrafficMeter",
+    "VisibilityTracker",
+    "WriteVisibility",
     "combine",
+    "estimate_bytes",
     "observe",
     "read_jsonl",
     "summarize",

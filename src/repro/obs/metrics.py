@@ -1,11 +1,16 @@
 """Metrics registry: labelled counters, gauges, and histograms.
 
 The registry is the quantitative half of the observability layer (the
-:mod:`tracer <repro.obs.tracer>` is the qualitative half). Hooks across
-the stack increment counters here — messages per channel, bottleneck-link
-crossings, retransmits, WAL appends, checker graph sizes, explorer
-runs-per-second — and ``python -m repro stats`` renders a snapshot so the
-§6 message-count model can be checked against a live run.
+:mod:`tracer <repro.obs.tracer>` is the qualitative half). Its hook
+counter families — messages per channel and network, bottleneck-link
+crossings, IS pairs, operations, retransmits, crashes, WAL appends — are
+a reduction of the trace stream: the registry is a :class:`TraceSink`,
+and :data:`EVENT_COUNTERS` maps each counted event kind to its counter
+and labels. ``python -m repro stats`` renders a snapshot so the §6
+message-count model can be checked against a live run. Three families
+are written directly: ``sim_events_total`` (the kernel's own count; it
+emits no per-event trace), the explorer's ``explore_*`` summaries, and
+the ``profile_*`` wall-clock histograms.
 
 Design notes:
 
@@ -26,8 +31,9 @@ from __future__ import annotations
 
 import bisect
 import json
-from dataclasses import dataclass
 from typing import Any, Iterator, Mapping, Optional, Union
+
+from repro.obs.tracer import TraceEvent, TraceSink
 
 Labels = tuple[tuple[str, str], ...]
 
@@ -134,12 +140,54 @@ class Histogram:
 Instrument = Union[Counter, Gauge, Histogram]
 
 
-class MetricsRegistry:
+def _crosses_segments(event: TraceEvent) -> bool:
+    return event.arg("src_segment") != event.arg("dst_segment")
+
+
+#: The hook counter families as a reduction of the trace stream. A row
+#: reads ``(event kind, counter, labels, when)``: each label's value is
+#: the named event argument (``component`` and ``system`` name those
+#: event fields), and a row with a *when* predicate counts only the
+#: events it accepts.
+EVENT_COUNTERS = (
+    ("msg.send", "channel_messages_total", {"channel": "channel"}, None),
+    ("msg.drop", "channel_frames_dropped_total", {"channel": "channel"}, None),
+    ("net.send", "net_messages_total", {"network": "network"}, None),
+    ("net.send", "bottleneck_crossings_total", {"network": "network"}, _crosses_segments),
+    ("mcs.built", "mcs_processes_built_total", {"protocol": "protocol"}, None),
+    ("is.pair_send", "is_pairs_sent_total", {"link": "link"}, None),
+    ("is.pair_recv", "is_pairs_received_total", {"link": "link"}, None),
+    ("op", "ops_completed_total", {"system": "system", "kind": "op"}, None),
+    ("bridge.connect", "bridges_total", {}, None),
+    ("retransmit", "retransmits_total", {"link": "component"}, None),
+    ("is.crash", "is_crashes_total", {"process": "component"}, None),
+    ("is.recover", "is_recoveries_total", {"process": "component"}, None),
+    ("wal.append", "wal_appends_total", {"wal": "wal"}, None),
+    ("wal.append", "wal_records_total", {"kind": "record"}, None),
+)
+
+_ROWS_BY_KIND = {
+    kind: [row[1:] for row in EVENT_COUNTERS if row[0] == kind]
+    for kind, *_ in EVENT_COUNTERS
+}
+
+
+def _event_field(event: TraceEvent, source: str) -> Any:
+    if source == "component":
+        return event.component
+    if source == "system":
+        return event.system
+    return event.arg(source)
+
+
+class MetricsRegistry(TraceSink):
     """Home for every instrument of one run.
 
     Instruments are created on first use and shared on every later lookup
     with the same name + labels; a name may not be reused across
-    instrument types.
+    instrument types. As a trace sink the registry counts the events of
+    :data:`EVENT_COUNTERS`; :func:`repro.obs.instruments.combine` tees it
+    into a run's tracer.
     """
 
     def __init__(self) -> None:
@@ -175,6 +223,12 @@ class MetricsRegistry:
             instrument = cls(name, labels)
             self._instruments[key] = instrument
         return instrument
+
+    def write(self, event: TraceEvent) -> None:
+        for name, sources, when in _ROWS_BY_KIND.get(event.kind, ()):
+            if when is None or when(event):
+                labels = {label: _event_field(event, field) for label, field in sources.items()}
+                self.counter(name, **labels).inc()
 
     def _check_type(self, name: str, cls: type) -> None:
         existing = self._types.get(name)
@@ -243,25 +297,12 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=2, sort_keys=True)
 
 
-@dataclass
-class MetricDelta:
-    """Difference of a counter family between two snapshots (bench use)."""
-
-    name: str
-    before: float
-    after: float
-
-    @property
-    def delta(self) -> float:
-        return self.after - self.before
-
-
 __all__ = [
     "DEFAULT_BUCKETS",
+    "EVENT_COUNTERS",
     "Counter",
     "Gauge",
     "Histogram",
     "Instrument",
-    "MetricDelta",
     "MetricsRegistry",
 ]

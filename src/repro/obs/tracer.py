@@ -227,7 +227,7 @@ class Tracer:
     """
 
     def __init__(self, sink: Optional[TraceSink] = None) -> None:
-        self.sink = sink or RingBufferSink()
+        self.sink = sink if sink is not None else RingBufferSink()
         self._seq = itertools.count()
         self._count = 0
 

@@ -63,11 +63,7 @@ class ProtocolSpec:
             segment=segment,
             **dict(self.options),
         )
-        if sim.instruments is not None:
-            if sim.metrics is not None:
-                sim.metrics.counter(
-                    "mcs_processes_built_total", protocol=self.name
-                ).inc()
+        if sim.tracer is not None:
             sim.trace(
                 "mcs.built",
                 name,

@@ -28,6 +28,7 @@ from repro.experiments import (
     latency_tree as run_tree,
     messages_per_write_flat as run_flat,
     messages_per_write_interconnected as run_interconnected,
+    response_stats,
     response_time as measure_response,
     sequential_bridge_dekker as run_dekker,
     sequential_bridge_random as run_random_bridge,
@@ -225,7 +226,7 @@ def experiment_e11() -> str:
 def experiment_x1() -> str:
     from repro.memory.recorder import HistoryRecorder
     from repro.memory.system import DSMSystem
-    from repro.metrics import TrafficMeter, response_stats
+    from repro.obs import TrafficMeter
     from repro.protocols import get
     from repro.sim.core import Simulator
     from repro.workloads import populate_system
@@ -259,7 +260,7 @@ def experiment_x1() -> str:
 def experiment_x2() -> str:
     from repro.memory.recorder import HistoryRecorder
     from repro.memory.system import DSMSystem
-    from repro.metrics import TrafficMeter, response_stats
+    from repro.obs import TrafficMeter
     from repro.protocols import get
     from repro.sim.core import Simulator
     from repro.workloads import populate_system

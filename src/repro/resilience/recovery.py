@@ -118,10 +118,13 @@ class RecoverableISProcess(ISProcess):
         )
 
     def _on_wal_append(self, record) -> None:
-        metrics = self.sim.metrics
-        if metrics is not None:
-            metrics.counter("wal_appends_total", wal=self.wal.name).inc()
-            metrics.counter("wal_records_total", kind=record.kind).inc()
+        if self.sim.tracer is not None:
+            self.trace(
+                "wal.append",
+                system=self.mcs.system_name,
+                wal=self.wal.name,
+                record=record.kind,
+            )
 
     # -- receipt: journal, then the base Propagate_in ------------------------
 
@@ -198,12 +201,8 @@ class RecoverableISProcess(ISProcess):
         self.alive = False
         self.accepting_upcalls = False
         self.crashes += 1
-        instruments = self.sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter("is_crashes_total", process=self.name).inc()
-            if instruments.tracer is not None:
-                self.trace("is.crash", system=self.mcs.system_name, crashes=self.crashes)
+        if self.sim.tracer is not None:
+            self.trace("is.crash", system=self.mcs.system_name, crashes=self.crashes)
         self._write_queue.clear()
         self._pending_meta.clear()
         self._seen_pairs = set()
@@ -224,19 +223,13 @@ class RecoverableISProcess(ISProcess):
             return
         state = self.wal.recover()
         self.recoveries += 1
-        instruments = self.sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "is_recoveries_total", process=self.name
-                ).inc()
-            if instruments.tracer is not None:
-                self.trace(
-                    "is.recover",
-                    system=self.mcs.system_name,
-                    unissued=len(state.unissued),
-                    recoveries=self.recoveries,
-                )
+        if self.sim.tracer is not None:
+            self.trace(
+                "is.recover",
+                system=self.mcs.system_name,
+                unissued=len(state.unissued),
+                recoveries=self.recoveries,
+            )
         self._seen_pairs = set(state.seen_pairs)
         for peer, seq, var, value in state.unissued:
             self._write_queue.append(PropagatedPair(var, value))

@@ -235,14 +235,9 @@ class ResilientTransport:
 
     def _note_retransmit(self, seq: int) -> None:
         self.wire.retransmissions += 1
-        instruments = self._sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter("retransmits_total", link=self.name).inc()
-            if instruments.tracer is not None:
-                instruments.tracer.emit(
-                    self._sim.now, "retransmit", self.name, seq=seq
-                )
+        tracer = self._sim.tracer
+        if tracer is not None:
+            tracer.emit(self._sim.now, "retransmit", self.name, seq=seq)
 
     def _on_ack_frame(self, frame: Any) -> None:
         _, cumulative = frame

@@ -126,8 +126,8 @@ class WriteAheadLog:
         self.checkpoints_taken = 0
         self.recoveries_served = 0
         #: Optional observer invoked after every append (the owning
-        #: process wires this to the metrics registry; the WAL itself
-        #: stays simulator-free).
+        #: process emits a ``wal.append`` trace event from it; the WAL
+        #: itself stays simulator-free).
         self.on_append: Optional[Callable[[WalRecord], None]] = None
 
     # -- writing ------------------------------------------------------------

@@ -310,16 +310,9 @@ class ReliableFifoChannel:
         now = self._sim.now
         self.stats.messages_sent += 1
         ordinal = self.stats.messages_sent
-        instruments = self._sim.instruments
-        if instruments is not None:
-            if instruments.metrics is not None:
-                instruments.metrics.counter(
-                    "channel_messages_total", channel=self.name
-                ).inc()
-            if instruments.tracer is not None:
-                instruments.tracer.emit(
-                    now, "msg.send", self.name, channel=self.name, n=ordinal
-                )
+        tracer = self._sim.tracer
+        if tracer is not None:
+            tracer.emit(now, "msg.send", self.name, channel=self.name, n=ordinal)
         plan = self.faults
         if plan is not None:
             # Under a plan every frame costs one rng draw per knob, even
@@ -331,10 +324,6 @@ class ReliableFifoChannel:
             if plan.partitioned_at(now) or r_drop < plan.drop_probability:
                 self.frames_dropped += 1
                 self._sim.trace("msg.drop", self.name, channel=self.name, n=ordinal)
-                if self._sim.metrics is not None:
-                    self._sim.metrics.counter(
-                        "channel_frames_dropped_total", channel=self.name
-                    ).inc()
                 return now
         deliver_at = self._availability.next_up(now) + self._sample_delay()
         tag = self._tag

@@ -157,6 +157,7 @@ class Simulator:
         self._processed = 0
         self._policy = policy
         self._instruments: Optional[Any] = None
+        self._tracer: Optional[Any] = None
         self._event_counter: Optional[Any] = None
         if instruments is not None:
             self.instruments = instruments
@@ -169,8 +170,7 @@ class Simulator:
     @property
     def instruments(self) -> Optional[Any]:
         """The attached :class:`repro.obs.instruments.Instruments` bundle,
-        or None when the run is uninstrumented (the fast path: every hook
-        site guards on this being None).
+        or None when the run is uninstrumented.
 
         Typed ``Any`` because the kernel deliberately does not import
         :mod:`repro.obs` — observability is downstream of the simulator.
@@ -182,6 +182,7 @@ class Simulator:
         if self._running:
             raise SimulationError("cannot swap instruments mid-run")
         self._instruments = instruments
+        self._tracer = getattr(instruments, "tracer", None)
         metrics = getattr(instruments, "metrics", None)
         self._event_counter = (
             metrics.counter("sim_events_total") if metrics is not None else None
@@ -189,13 +190,10 @@ class Simulator:
 
     @property
     def tracer(self) -> Optional[Any]:
-        """The attached tracer, or None."""
-        return self._instruments.tracer if self._instruments is not None else None
-
-    @property
-    def metrics(self) -> Optional[Any]:
-        """The attached metrics registry, or None."""
-        return self._instruments.metrics if self._instruments is not None else None
+        """The attached tracer, or None: the one guard of every hook site
+        (a registry counts by reducing the trace, so it always comes with
+        a tracer)."""
+        return self._tracer
 
     def trace(self, kind: str, component: str, **kwargs: Any) -> None:
         """Emit a trace event at the current virtual time, if tracing.
@@ -204,10 +202,9 @@ class Simulator:
         when no tracer is attached; hook sites across the stack call this
         so the disabled cost stays one None check.
         """
-        instruments = self._instruments
-        if instruments is None or instruments.tracer is None:
-            return
-        instruments.tracer.emit(self._now, kind, component, **kwargs)
+        tracer = self._tracer
+        if tracer is not None:
+            tracer.emit(self._now, kind, component, **kwargs)
 
     @property
     def events_processed(self) -> int:

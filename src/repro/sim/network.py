@@ -5,7 +5,8 @@ between registered nodes. Each node lives on a named *segment* (think: a
 LAN). When a tracer is attached, every send is traced as a ``net.send``
 event with its source and destination segments, which is how the §6
 bottleneck-link experiment counts messages crossing the slow inter-LAN
-link (:class:`repro.metrics.TrafficMeter` reduces those events).
+link (the metrics registry and :class:`repro.obs.TrafficMeter` reduce
+those events).
 """
 
 from __future__ import annotations
@@ -85,26 +86,18 @@ class Network:
             raise ConfigurationError(f"unknown destination {dst!r}")
         channel = self._channel(src, dst)
         self.messages_sent += 1
-        instruments = self.sim.instruments
-        if instruments is not None:
-            src_segment = self._nodes[src].segment
-            dst_segment = self._nodes[dst].segment
-            metrics = instruments.metrics
-            if metrics is not None:
-                metrics.counter("net_messages_total", network=self.name).inc()
-                if src_segment != dst_segment:
-                    metrics.counter("bottleneck_crossings_total", network=self.name).inc()
-            if instruments.tracer is not None:
-                instruments.tracer.emit(
-                    self.sim.now,
-                    "net.send",
-                    src,
-                    network=self.name,
-                    dst=dst,
-                    src_segment=src_segment,
-                    dst_segment=dst_segment,
-                    payload=payload,
-                )
+        tracer = self.sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                self.sim.now,
+                "net.send",
+                src,
+                network=self.name,
+                dst=dst,
+                src_segment=self._nodes[src].segment,
+                dst_segment=self._nodes[dst].segment,
+                payload=payload,
+            )
         channel.send(payload)
 
     def broadcast(self, src: str, payload: Any) -> int:

@@ -15,11 +15,12 @@ from repro.analysis import (
     interconnected_messages_per_write,
     star_worst_latency,
 )
+from repro.experiments import response_stats
 from repro.interconnect.topology import interconnect
 from repro.memory.program import Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter, VisibilityTracker, response_stats
+from repro.obs import TrafficMeter, VisibilityTracker
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system

@@ -9,7 +9,7 @@ polynomial checker handles the resulting histories comfortably.
 import pytest
 
 from repro.checker import check_causal
-from repro.metrics import VisibilityTracker
+from repro.obs import VisibilityTracker
 from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import run_until_quiescent
 

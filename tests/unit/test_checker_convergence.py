@@ -97,25 +97,23 @@ class TestCCvVsCM:
 
 
 class TestRuntimeConvergence:
-    def run_protocol(self, protocol, seed=0):
+    def test_sequential_protocol_converges(self):
         from repro.memory.program import Sleep, Write
         from repro.memory.recorder import HistoryRecorder
         from repro.memory.system import DSMSystem
-        from repro.metrics.convergence import replica_convergence
         from repro.protocols import get
         from repro.sim.core import Simulator
 
         sim = Simulator()
-        system = DSMSystem(sim, "S", get(protocol), recorder=HistoryRecorder(), seed=seed)
+        system = DSMSystem(sim, "S", get("aw-sequential"), recorder=HistoryRecorder(), seed=0)
         system.add_application("A", [Write("x", "a-value")])
         system.add_application("B", [Write("x", "b-value")])
         system.add_application("C", [Sleep(30.0)])
         sim.run()
-        return replica_convergence([system], ["x"])
-
-    def test_sequential_protocol_converges(self):
-        report = self.run_protocol("aw-sequential")
-        assert report.converged, report.summary()
+        finals = [mcs.local_value("x") for mcs in system.mcs_processes]
+        assert len(finals) == 3
+        assert len(set(finals)) == 1, finals
+        assert finals[0] in ("a-value", "b-value")
 
     def test_invalidation_protocol_converges_logically(self):
         # Stale caches keep old values, but every *valid* replica agrees;
@@ -142,14 +140,3 @@ class TestRuntimeConvergence:
             op.value for op in recorder.history() if op.is_read
         }
         assert len(finals) == 1
-
-    def test_report_summary_strings(self):
-        from repro.metrics.convergence import ConvergenceReport
-
-        good = ConvergenceReport(values={"x": {"v"}})
-        assert good.converged
-        assert "converged" in good.summary()
-        bad = ConvergenceReport(values={"x": {"v", "u"}, "y": {"w"}})
-        assert not bad.converged
-        assert bad.divergent_variables() == ["x"]
-        assert "divergent" in bad.summary()

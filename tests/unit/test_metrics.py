@@ -1,17 +1,12 @@
 """Unit tests for traffic, latency, and response-time metrics."""
 
+from repro.experiments import ResponseStats, response_stats
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
+from repro.obs import TrafficMeter, VisibilityTracker
 from repro.obs.instruments import combine, observe
 from repro.obs.tracer import ListSink, Tracer
-from repro.metrics import (
-    ResponseStats,
-    TrafficMeter,
-    VisibilityTracker,
-    messages_per_write,
-    response_stats,
-)
 from repro.protocols import get
 from repro.sim.core import Simulator
 
@@ -54,11 +49,13 @@ class TestTrafficMeter:
 
     def test_messages_per_write_helper(self):
         sim, _, system = make_system()
+        meter = TrafficMeter().attach(system.network)
         system.add_application("A", [Write("x", 1), Write("y", 2)])
         system.add_application("B", [])
         system.add_application("C", [])
         sim.run()
-        assert messages_per_write([system.network], 2) == 2.0
+        # Two writes, each broadcast to the two other replicas.
+        assert meter.per_write(2) == system.network.messages_sent / 2 == 2.0
 
 
 class TestVisibilityTracker:

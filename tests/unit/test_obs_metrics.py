@@ -1,8 +1,18 @@
 """Unit tests for the metrics registry and the instrumented counters."""
 
+import collections
+
 import pytest
 
+from repro.interconnect.bridge import connect
+from repro.memory.program import Read, Write
+from repro.memory.recorder import HistoryRecorder
+from repro.memory.system import DSMSystem
+from repro.obs import ListSink, Tracer, combine
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.protocols import get
+from repro.resilience.campaign import SCENARIOS, run_campaign
+from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import run_until_quiescent
 
@@ -140,3 +150,123 @@ class TestHandCountedScenario:
             ["vector-causal"], processes=2, ops_per_process=2, write_ratio=1.0
         )
         assert registry.total("sim_events_total") == result.sim.events_processed
+
+
+def naive_recount(events):
+    """Recount the hook counter families from a recorded event stream,
+    one event at a time, keyed as ``snapshot()`` keys them. Written
+    without the registry's event table, as an oracle for it."""
+    counts = collections.Counter()
+
+    def bump(name, **labels):
+        inner = ",".join(f'{key}="{value}"' for key, value in sorted(labels.items()))
+        counts[f"{name}{{{inner}}}" if labels else name] += 1
+
+    for event in events:
+        args = dict(event.args)
+        if event.kind == "msg.send":
+            bump("channel_messages_total", channel=args["channel"])
+        elif event.kind == "msg.drop":
+            bump("channel_frames_dropped_total", channel=args["channel"])
+        elif event.kind == "net.send":
+            bump("net_messages_total", network=args["network"])
+            if args["src_segment"] != args["dst_segment"]:
+                bump("bottleneck_crossings_total", network=args["network"])
+        elif event.kind == "mcs.built":
+            bump("mcs_processes_built_total", protocol=args["protocol"])
+        elif event.kind == "is.pair_send":
+            bump("is_pairs_sent_total", link=args["link"])
+        elif event.kind == "is.pair_recv":
+            bump("is_pairs_received_total", link=args["link"])
+        elif event.kind == "op":
+            bump("ops_completed_total", system=event.system, kind=args["op"])
+        elif event.kind == "bridge.connect":
+            bump("bridges_total")
+        elif event.kind == "retransmit":
+            bump("retransmits_total", link=event.component)
+        elif event.kind == "is.crash":
+            bump("is_crashes_total", process=event.component)
+        elif event.kind == "is.recover":
+            bump("is_recoveries_total", process=event.component)
+        elif event.kind == "wal.append":
+            bump("wal_appends_total", wal=args["wal"])
+            bump("wal_records_total", kind=args["record"])
+    return dict(counts)
+
+
+def hook_families(registry):
+    """The snapshot minus the families written directly, not derived
+    from the trace."""
+    return {
+        key: value
+        for key, value in registry.snapshot().items()
+        if not key.startswith(("sim_events", "explore_", "profile_"))
+    }
+
+
+class TestTraceDerivedCounters:
+    """The registry's hook families are a reduction of the trace: they
+    must equal a naive recount of the same run's events."""
+
+    @pytest.mark.parametrize("topology", ["star", "chain"])
+    def test_interconnected_run_matches_recount(self, topology):
+        sink, registry = ListSink(), MetricsRegistry()
+        result = build_interconnected(
+            ["vector-causal"] * 3,
+            WorkloadSpec(processes=3, ops_per_process=6, write_ratio=0.6),
+            topology=topology,
+            seed=0,
+            tracer=Tracer(sink),
+            metrics=registry,
+        )
+        run_until_quiescent(result.sim, result.systems)
+        assert registry.total("is_pairs_sent_total") > 0
+        assert hook_families(registry) == naive_recount(sink.events)
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_campaign_matches_recount(self, scenario):
+        sink, registry = ListSink(), MetricsRegistry()
+        result = run_campaign(
+            scenario, seed=0, check_theorem1=False, tracer=Tracer(sink), metrics=registry
+        )
+        assert hook_families(registry) == naive_recount(sink.events)
+        wals = [result.bridge.isp_a.wal, result.bridge.isp_b.wal]
+        assert registry.total("wal_appends_total") == sum(wal.appends for wal in wals) > 0
+        for wal in wals:
+            assert registry.snapshot()[f'wal_appends_total{{wal="{wal.name}"}}'] == wal.appends
+
+    @pytest.mark.parametrize("with_tracer", [True, False])
+    def test_registry_attached_twice_counts_each_send_once(self, with_tracer):
+        registry = MetricsRegistry()
+        tracer = Tracer(ListSink()) if with_tracer else None
+        sim = Simulator(instruments=combine(tracer, registry))
+        recorder = HistoryRecorder()
+        systems = [
+            DSMSystem(sim, name, get("vector-causal"), recorder=recorder)
+            for name in ("S0", "S1")
+        ]
+        systems[0].add_application("A", [Write("x", 1), Read("y")])
+        systems[0].add_application("B", [])
+        systems[1].add_application("C", [Write("y", 2)])
+        bridge = connect(systems[0], systems[1], metrics=registry)
+        run_until_quiescent(sim, systems)
+        sent = sum(system.network.messages_sent for system in systems)
+        assert sent > 0
+        assert registry.total("net_messages_total") == sent
+        assert registry.total("is_pairs_sent_total") == (
+            bridge.pairs_a_to_b + bridge.pairs_b_to_a
+        )
+        assert registry.total("bridges_total") == 1
+
+    def test_replaced_registry_stops_counting(self):
+        old, new = MetricsRegistry(), MetricsRegistry()
+        tracer = Tracer(ListSink())
+        sim = Simulator(instruments=combine(tracer, old))
+        sim.instruments = combine(None, new, sim.instruments)
+        assert sim.tracer is tracer
+        system = DSMSystem(sim, "S", get("vector-causal"))
+        system.add_application("A", [Write("x", 1)])
+        system.add_application("B", [])
+        sim.run()
+        assert new.total("net_messages_total") == 1
+        assert old.total("net_messages_total") == 0

@@ -5,7 +5,7 @@ from repro.memory.interface import UpcallHandler
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter
+from repro.obs import TrafficMeter
 from repro.protocols import get
 from repro.protocols.invalidation import InvalidationCausalMCS
 from repro.sim.clock import VectorClock

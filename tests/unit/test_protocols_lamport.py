@@ -4,7 +4,7 @@ from repro.checker import check_causal, check_sequential
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import TrafficMeter
+from repro.obs import TrafficMeter
 from repro.protocols import get
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, populate_system

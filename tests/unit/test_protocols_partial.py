@@ -10,7 +10,7 @@ from repro.memory.system import DSMSystem
 from repro.protocols import get
 from repro.protocols.partial import PartialUpdate, WriteNotice
 from repro.sim.core import Simulator
-from repro.metrics import TrafficMeter
+from repro.obs import TrafficMeter
 from repro.workloads import WorkloadSpec, populate_system
 from repro.workloads.scenarios import run_until_quiescent
 

@@ -3,7 +3,7 @@
 from repro.memory.program import Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.metrics import MESSAGE_OVERHEAD_BYTES, TrafficMeter, estimate_bytes
+from repro.obs import MESSAGE_OVERHEAD_BYTES, TrafficMeter, estimate_bytes
 from repro.protocols import get
 from repro.protocols.messages import CausalUpdate
 from repro.sim.clock import VectorClock
