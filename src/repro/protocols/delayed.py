@@ -45,6 +45,7 @@ from typing import Any, Callable
 from repro.memory.interface import MCSProcess
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.holdback import CausalHoldBack
 from repro.protocols.messages import CausalUpdate
 from repro.sim import rng as rng_mod
 from repro.sim.clock import VectorClock
@@ -58,7 +59,7 @@ class DelayedApplyMCS(MCSProcess):
         self._ctx = VectorClock()  # attached application's causal context
         self._seen = VectorClock()  # gates causal readiness
         self._store: dict[str, tuple[Any, VectorClock]] = {}
-        self._ready_buffer: list[CausalUpdate] = []
+        self._holdback = CausalHoldBack()
         # Per-variable lag queues of (readiness rank, update). The rank
         # rides along with the update (instead of an id()-keyed side
         # table) so the queues are plain value state — object identities
@@ -112,7 +113,7 @@ class DelayedApplyMCS(MCSProcess):
             self._ctx,
             self._seen,
             tuple(sorted(self._store.items())),
-            tuple(self._ready_buffer),
+            self._holdback.state_key(),
             tuple(sorted((var, tuple(queue)) for var, queue in self._lag_queues.items())),
             rng_mod.state_key(self._rng),
             self._in_upcall,
@@ -128,19 +129,15 @@ class DelayedApplyMCS(MCSProcess):
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._ready_buffer.append(payload)
-        self._drain_ready()
+        self._holdback.add(payload)
+        self._holdback.drain(self._ready, self._release)
 
-    def _drain_ready(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for update in list(self._ready_buffer):
-                if update.ts.causally_ready(self._seen, update.sender_index):
-                    self._ready_buffer.remove(update)
-                    self._seen = self._seen.merge(update.ts)
-                    self._stage(update)
-                    progressed = True
+    def _ready(self, update: CausalUpdate) -> bool:
+        return update.ts.causally_ready(self._seen, update.sender_index)
+
+    def _release(self, update: CausalUpdate) -> None:
+        self._seen = self._seen.merge(update.ts)
+        self._stage(update)
 
     # -- lag stage ----------------------------------------------------------------
 

@@ -6,8 +6,9 @@ geo-replicated stores go the other way and mix strengths *per operation*
 (RedBlue consistency, and the hybrid consistency of Attiya–Friedman).
 This protocol realises that mix on the library's substrate:
 
-* **weak writes** behave exactly like the vector-clock causal protocol —
-  immediate response, vector-timestamped broadcast, causally gated apply;
+* **weak writes** are the vector-clock causal protocol, inherited from
+  :class:`~repro.protocols.vector.VectorCausalMCS` — immediate response,
+  vector-timestamped broadcast, causally gated apply;
 * **strong writes** take the sequencer path — a global sequence number
   plus the usual vector timestamp; replicas apply a strong write only
   when it is both next in the strong total order and causally ready, and
@@ -34,10 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.memory.interface import MCSProcess, callback_names
-from repro.memory.operations import INITIAL_VALUE
+from repro.memory.interface import callback_names
 from repro.protocols.base import ProtocolSpec, register
-from repro.protocols.messages import CausalUpdate
+from repro.protocols.vector import VectorCausalMCS
 from repro.sim.clock import VectorClock
 
 
@@ -64,20 +64,20 @@ class StrongUpdate:
     origin: str
 
 
-class HybridMCS(MCSProcess):
-    """One MCS-process of the hybrid strong/weak protocol."""
+class HybridMCS(VectorCausalMCS):
+    """One MCS-process of the hybrid strong/weak protocol.
+
+    Weak writes, reads and weak applies are the inherited vector-causal
+    path; this class adds the sequenced strong writes.
+    """
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._clock = VectorClock()
-        self._store: dict[str, Any] = {}
-        self._weak_buffer: list[CausalUpdate] = []
         self._strong_buffer: dict[int, StrongUpdate] = {}
         self._next_strong = 0
         self._assign_strong = 0  # used by the sequencer only
         self._pending_strong_acks: list[Callable[[], None]] = []
         self.strong_apply_log: list[tuple[str, Any]] = []
-        self.updates_applied = 0
 
     # -- roles -----------------------------------------------------------
 
@@ -94,19 +94,6 @@ class HybridMCS(MCSProcess):
         else:
             self._handle_write(var, value, done)
 
-    def _handle_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
-        """Weak write: the vector-causal fast path."""
-        self._clock = self._clock.increment(self.proc_index)
-        update = CausalUpdate(
-            var=var, value=value, ts=self._clock,
-            sender_index=self.proc_index, sender_name=self.name,
-        )
-        self._apply_with_upcalls(
-            var, value, lambda: self._store.__setitem__(var, value), own_write=True
-        )
-        done()
-        self.network.broadcast(self.name, update)
-
     def _handle_strong_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
         """Strong write: sequenced, causally timestamped, blocking."""
         self._clock = self._clock.increment(self.proc_index)
@@ -120,24 +107,13 @@ class HybridMCS(MCSProcess):
         else:
             self.network.send(self.name, self._sequencer(), request)
 
-    def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        done(self._store.get(var, INITIAL_VALUE))
-
-    def local_value(self, var: str) -> Any:
-        return self._store.get(var, INITIAL_VALUE)
-
     def state_key(self) -> tuple:
-        return (
-            self._clock,
-            tuple(sorted(self._store.items())),
-            tuple(self._weak_buffer),
+        return super().state_key() + (
             tuple(sorted(self._strong_buffer.items())),
             self._next_strong,
             self._assign_strong,
             callback_names(self._pending_strong_acks),
             tuple(self.strong_apply_log),
-            self.updates_applied,
-            tuple(self.missed_upcalls),
         )
 
     # -- sequencing ------------------------------------------------------------
@@ -159,47 +135,32 @@ class HybridMCS(MCSProcess):
     # -- propagation ---------------------------------------------------------------
 
     def _on_message(self, src: str, payload: Any) -> None:
-        if isinstance(payload, CausalUpdate):
-            self._weak_buffer.append(payload)
-        elif isinstance(payload, StrongRequest):
+        if isinstance(payload, StrongRequest):
             self._sequence(payload)
-            return
         elif isinstance(payload, StrongUpdate):
             self._strong_buffer[payload.seqno] = payload
+            self._drain()
         else:
-            raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._drain()
+            super()._on_message(src, payload)
 
     def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for update in list(self._weak_buffer):
-                if update.ts.causally_ready(self._clock, update.sender_index):
-                    self._weak_buffer.remove(update)
-                    self._apply_weak(update)
-                    progressed = True
-            strong = self._strong_buffer.get(self._next_strong)
-            if strong is not None:
-                own = strong.origin == self.name
-                ready = (
-                    strong.ts.causally_ready(self._clock, strong.sender_index)
-                    if not own
-                    else True
-                )
-                if ready:
-                    del self._strong_buffer[self._next_strong]
-                    self._next_strong += 1
-                    self._apply_strong(strong, own)
-                    progressed = True
+        # Non-short-circuit ``|``: every round runs one weak pass and
+        # then one strong step.
+        while self._holdback.release(self._ready, self._apply) | self._release_strong():
+            pass
 
-    def _apply_weak(self, update: CausalUpdate) -> None:
-        def commit() -> None:
-            self._store[update.var] = update.value
-            self._clock = self._clock.merge(update.ts)
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=False)
+    def _release_strong(self) -> bool:
+        """Apply the next strong write if it is here and causally ready."""
+        strong = self._strong_buffer.get(self._next_strong)
+        if strong is None:
+            return False
+        own = strong.origin == self.name
+        if not own and not self._ready(strong):
+            return False
+        del self._strong_buffer[self._next_strong]
+        self._next_strong += 1
+        self._apply_strong(strong, own)
+        return True
 
     def _apply_strong(self, update: StrongUpdate, own: bool) -> None:
         def commit() -> None:

@@ -30,7 +30,6 @@ is exactly the paper's §2 requirement in disguise. Experiment X2.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -38,9 +37,8 @@ from typing import Any, Callable, Optional
 from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.holdback import CausalHoldBack
 from repro.sim.clock import VectorClock
-
-_fetch_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -101,7 +99,7 @@ class InvalidationCausalMCS(MCSProcess):
         self._replicas: dict[str, _Replica] = {}
         self._applied = VectorClock()
         self._extra = VectorClock()
-        self._buffer: list[Invalidation] = []
+        self._holdback = CausalHoldBack()
         self._pending_fetches: dict[int, Callable[[Any], None]] = {}
         self._blocked_requests: list[FetchRequest] = []
         # IS adapter state: serialised value fetches for upcall delivery.
@@ -136,7 +134,7 @@ class InvalidationCausalMCS(MCSProcess):
             ),
             self._applied,
             self._extra,
-            tuple(self._buffer),
+            self._holdback.state_key(),
             tuple(sorted(self._pending_fetches)),
             callback_names(done for _, done in sorted(self._pending_fetches.items())),
             tuple(self._blocked_requests),
@@ -189,8 +187,9 @@ class InvalidationCausalMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, Invalidation):
-            self._buffer.append(payload)
-            self._drain()
+            self._holdback.add(payload)
+            self._holdback.drain(self._ready, self._apply_invalidation)
+            self._serve_blocked_requests()
         elif isinstance(payload, FetchRequest):
             self._blocked_requests.append(payload)
             self._serve_blocked_requests()
@@ -205,18 +204,8 @@ class InvalidationCausalMCS(MCSProcess):
         else:
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
 
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for invalidation in list(self._buffer):
-                if invalidation.ts.causally_ready(
-                    self._applied, invalidation.sender_index
-                ):
-                    self._buffer.remove(invalidation)
-                    self._apply_invalidation(invalidation)
-                    progressed = True
-        self._serve_blocked_requests()
+    def _ready(self, invalidation: Invalidation) -> bool:
+        return invalidation.ts.causally_ready(self._applied, invalidation.sender_index)
 
     @staticmethod
     def _arbitration_key(ts: VectorClock, writer: str) -> tuple[int, str]:
@@ -272,7 +261,7 @@ class InvalidationCausalMCS(MCSProcess):
             done(replica.value)
             return
         self.fetches += 1
-        fetch_id = next(_fetch_ids)
+        fetch_id = self.fetches
         self._pending_fetches[fetch_id] = done
         self.network.send(
             self.name, target, FetchRequest(fetch_id, var, self._ctx, self.name)
@@ -280,11 +269,16 @@ class InvalidationCausalMCS(MCSProcess):
 
     def _cache_fetched(self, var: str, value: Any, ts: VectorClock, writer: str) -> None:
         replica = self._replica(var)
+        current = ts == replica.winner_ts or self._wins(
+            ts, writer, replica.winner_ts, replica.winner_writer
+        )
+        if replica.valid and not current:
+            # A newer write (say the IS-process's own) landed while the
+            # fetch was in flight: the valid copy must not go stale.
+            return
         replica.value = value
         replica.ts = ts
-        if ts == replica.winner_ts or self._wins(
-            ts, writer, replica.winner_ts, replica.winner_writer
-        ):
+        if current:
             # We fetched the (current or even newer) winner: valid again.
             replica.winner_ts = ts
             replica.winner_writer = writer

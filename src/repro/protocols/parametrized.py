@@ -33,6 +33,7 @@ from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.holdback import CausalHoldBack
 from repro.protocols.messages import SequencedUpdate, WriteRequest
 
 MODES = ("causal", "sequential", "cache")
@@ -62,7 +63,7 @@ class ParametrizedMCS(MCSProcess):
         # causal mode state
         self._delivered: dict[str, int] = {}
         self._sent = 0
-        self._dep_buffer: list[DepUpdate] = []
+        self._holdback = CausalHoldBack()
         # sequential / cache mode state
         self._assign: dict[str, int] = {}
         self._apply_next: dict[str, int] = {}
@@ -111,7 +112,7 @@ class ParametrizedMCS(MCSProcess):
             self.updates_applied,
             tuple(sorted(self._delivered.items())),
             self._sent,
-            tuple(self._dep_buffer),
+            self._holdback.state_key(),
             tuple(sorted(self._assign.items())),
             tuple(sorted(self._apply_next.items())),
             tuple(sorted(self._reorder.items())),
@@ -146,16 +147,6 @@ class ParametrizedMCS(MCSProcess):
             for sender, count in update.deps
             if sender != update.sender
         )
-
-    def _drain_causal(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for update in list(self._dep_buffer):
-                if self._dep_ready(update):
-                    self._dep_buffer.remove(update)
-                    self._apply_dep(update)
-                    progressed = True
 
     def _apply_dep(self, update: DepUpdate) -> None:
         def commit() -> None:
@@ -204,8 +195,8 @@ class ParametrizedMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, DepUpdate):
-            self._dep_buffer.append(payload)
-            self._drain_causal()
+            self._holdback.add(payload)
+            self._holdback.drain(self._dep_ready, self._apply_dep)
         elif isinstance(payload, WriteRequest):
             self._sequence(payload, stream=self._stream_of(payload.var))
         elif isinstance(payload, SequencedUpdate):

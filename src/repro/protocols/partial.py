@@ -27,18 +27,16 @@ so the protocol satisfies Causal Updating (IS-protocol 1 suffices).
 
 from __future__ import annotations
 
-import itertools
 import zlib
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.memory.interface import MCSProcess, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.holdback import CausalHoldBack
 from repro.sim.clock import VectorClock
-
-_request_ids = itertools.count()
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,7 @@ class PartialReplicationMCS(MCSProcess):
         self._applied = VectorClock()  # gating clock: locally applied writes
         self._extra = VectorClock()  # causal context gained via remote reads
         self._store: dict[str, tuple[Any, VectorClock]] = {}
-        self._buffer: list[PartialUpdate | WriteNotice] = []
+        self._holdback = CausalHoldBack()
         self._pending_reads: dict[int, Callable[[Any], None]] = {}
         self._blocked_requests: list[ReadRequest] = []
         self.updates_applied = 0
@@ -137,7 +135,7 @@ class PartialReplicationMCS(MCSProcess):
             self._applied,
             self._extra,
             tuple(sorted(self._store.items())),
-            tuple(self._buffer),
+            self._holdback.state_key(),
             tuple(sorted(self._pending_reads)),
             callback_names(done for _, done in sorted(self._pending_reads.items())),
             tuple(self._blocked_requests),
@@ -178,7 +176,7 @@ class PartialReplicationMCS(MCSProcess):
             return
         self.remote_reads += 1
         request = ReadRequest(
-            request_id=next(_request_ids),
+            request_id=self.remote_reads,
             var=var,
             ctx=self._ctx,
             requester=self.name,
@@ -197,8 +195,9 @@ class PartialReplicationMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, (PartialUpdate, WriteNotice)):
-            self._buffer.append(payload)
-            self._drain()
+            self._holdback.add(payload)
+            self._holdback.drain(self._ready, self._apply)
+            self._unblock_requests()
         elif isinstance(payload, ReadRequest):
             self._blocked_requests.append(payload)
             self._unblock_requests()
@@ -208,16 +207,8 @@ class PartialReplicationMCS(MCSProcess):
         else:
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
 
-    def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for message in list(self._buffer):
-                if message.ts.causally_ready(self._applied, message.sender_index):
-                    self._buffer.remove(message)
-                    self._apply(message)
-                    progressed = True
-        self._unblock_requests()
+    def _ready(self, message: PartialUpdate | WriteNotice) -> bool:
+        return message.ts.causally_ready(self._applied, message.sender_index)
 
     def _apply(self, message: PartialUpdate | WriteNotice) -> None:
         if isinstance(message, PartialUpdate):

@@ -23,6 +23,7 @@ from typing import Any, Callable
 from repro.memory.interface import MCSProcess
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.holdback import CausalHoldBack
 from repro.protocols.messages import CausalUpdate
 from repro.sim.clock import VectorClock
 
@@ -34,9 +35,8 @@ class VectorCausalMCS(MCSProcess):
         super().__init__(**kwargs)
         self._clock = VectorClock()
         self._store: dict[str, Any] = {}
-        self._buffer: list[CausalUpdate] = []
+        self._holdback = CausalHoldBack()
         self.updates_applied = 0
-        self.max_buffered = 0
 
     # -- call handling -----------------------------------------------------
 
@@ -69,9 +69,8 @@ class VectorCausalMCS(MCSProcess):
         return (
             self._clock,
             tuple(sorted(self._store.items())),
-            tuple(self._buffer),
+            self._holdback.state_key(),
             self.updates_applied,
-            self.max_buffered,
             tuple(self.missed_upcalls),
         )
 
@@ -80,19 +79,14 @@ class VectorCausalMCS(MCSProcess):
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._buffer.append(payload)
-        self.max_buffered = max(self.max_buffered, len(self._buffer))
+        self._holdback.add(payload)
         self._drain()
 
     def _drain(self) -> None:
-        progressed = True
-        while progressed:
-            progressed = False
-            for update in list(self._buffer):
-                if update.ts.causally_ready(self._clock, update.sender_index):
-                    self._buffer.remove(update)
-                    self._apply(update)
-                    progressed = True
+        self._holdback.drain(self._ready, self._apply)
+
+    def _ready(self, update: CausalUpdate) -> bool:
+        return update.ts.causally_ready(self._clock, update.sender_index)
 
     def _apply(self, update: CausalUpdate) -> None:
         def commit() -> None:

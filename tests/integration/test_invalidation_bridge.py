@@ -14,6 +14,20 @@ from repro.workloads.scenarios import run_until_quiescent
 
 SPEC = WorkloadSpec(processes=3, ops_per_process=5, write_ratio=0.5)
 
+#: Draws on which a late fetch reply used to overwrite the IS replica's
+#: newer own write, so that S0's processes later read a stale value.
+STALE_CACHE_SPEC = WorkloadSpec(
+    processes=2, ops_per_process=4, variables=("x", "y"), max_think=1.75, max_stagger=1.0
+)
+STALE_CACHE_DRAWS = [
+    ("aw-sequential", 126),
+    ("aw-sequential", 184),
+    ("aw-sequential", 250),
+    ("vector-causal", 148),
+    ("vector-causal", 184),
+    ("vector-causal", 289),
+]
+
 
 class TestInvalidationBridge:
     @pytest.mark.parametrize("peer", ["vector-causal", "invalidation-causal", "partial-causal"])
@@ -30,6 +44,15 @@ class TestInvalidationBridge:
         )
         run_until_quiescent(result.sim, result.systems)
         assert check_causal(result.global_history).ok
+
+    @pytest.mark.parametrize("peer, seed", STALE_CACHE_DRAWS)
+    def test_late_fetch_reply_keeps_newer_value(self, peer, seed):
+        result = build_interconnected(
+            ["invalidation-causal", peer], STALE_CACHE_SPEC, edges=[(0, 1)], seed=seed
+        )
+        run_until_quiescent(result.sim, result.systems)
+        verdict = check_causal(result.global_history)
+        assert verdict.ok, verdict.summary()
 
     def test_tree_with_invalidation_member(self):
         result = build_interconnected(

@@ -74,10 +74,10 @@ def _bump(value):
 KEYED_FIELDS = [
     ("mcs", "_clock"),
     ("mcs", "_store"),
-    ("mcs", "_buffer"),
     ("mcs", "updates_applied"),
-    ("mcs", "max_buffered"),
     ("mcs", "missed_upcalls"),
+    ("holdback", "_buffer"),
+    ("holdback", "max_buffered"),
     ("app", "ops_completed"),
     ("app", "done"),
     ("app", "_blocked"),
@@ -113,6 +113,7 @@ class TestStateKey:
         result, mcs, app, isp, link = _bridge_parts()
         target = {
             "mcs": mcs,
+            "holdback": mcs._holdback,
             "app": app,
             "isp": isp,
             "link": link,

@@ -205,3 +205,24 @@ class TestISAdapter:
         target.issue_write("x", 99, lambda: None)
         sim.run()
         assert seen == []
+
+    def test_late_fetch_reply_does_not_overwrite_a_newer_own_write(self):
+        # The adapter fetches x=1 after A's invalidation; the IS-process
+        # then writes x=2 before the reply lands. The older fetched value
+        # must not replace the newer valid copy.
+        sim, _, system = make_system()
+        target = system.new_mcs("~isp:probe")
+        seen = []
+
+        class Probe(UpcallHandler):
+            def post_update(self, var, value):
+                seen.append(value)
+
+        target.attach_upcall_handler(Probe())
+        system.add_application("A", [Write("x", 1)])
+        sim.schedule_at(1.5, lambda: target.issue_write("x", 2, lambda: None))
+        sim.run()
+        assert target.fetches == 1
+        assert target.replica_valid("x")
+        assert target.local_value("x") == 2
+        assert seen == []  # x=1 lost arbitration before its value arrived
