@@ -149,36 +149,33 @@ class MCSProcess(SimProcess):
         no upcalls (otherwise propagated writes would bounce back).
         """
         handler = self.upcall_handler
-        if handler is not None and not own_write and not handler.accepting_upcalls:
-            # The attached IS-process is down. Apply the update and queue
-            # the notification; recovery will propagate it late.
-            apply()
+        upcalls = handler is not None and not own_write
+        accepting = upcalls and handler.accepting_upcalls
+        if accepting and handler.wants_pre_update:
+            handler.pre_update(var)
+        apply()
+        if self.sim.tracer is not None:
             self._replica_applied(var, value, own_write)
-            self.missed_upcalls.append((var, value))
-            return
-        if handler is not None and not own_write:
-            if handler.wants_pre_update:
-                handler.pre_update(var)
-            apply()
-            self._replica_applied(var, value, own_write)
+        if accepting:
             handler.post_update(var, value)
-        else:
-            apply()
-            self._replica_applied(var, value, own_write)
+        elif upcalls:
+            # The attached IS-process is down: the update is applied and
+            # the notification queued; recovery will propagate it late.
+            self.missed_upcalls.append((var, value))
 
     def _replica_applied(self, var: str, value: Any, own_write: bool) -> None:
         """Trace every replica update (own writes included); the latency
-        metrics reduce these ``replica.apply`` events."""
-        if self.sim.tracer is not None:
-            self.sim.trace(
-                "replica.apply",
-                self.name,
-                system=self.system_name,
-                var=var,
-                value=value,
-                own_write=own_write,
-                clock=getattr(self, "clock", None),
-            )
+        metrics reduce these ``replica.apply`` events. Called only while
+        a tracer is attached."""
+        self.sim.trace(
+            "replica.apply",
+            self.name,
+            system=self.system_name,
+            var=var,
+            value=value,
+            own_write=own_write,
+            clock=getattr(self, "clock", None),
+        )
 
     # -- subclass responsibilities ----------------------------------------
 

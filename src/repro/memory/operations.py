@@ -35,12 +35,14 @@ class OpKind(enum.Enum):
     WRITE = "w"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Operation:
     """One completed memory operation.
 
     Uses the paper's notation: ``w_i^q(x)v`` is rendered as
-    ``w[i@q](x)v`` by :meth:`__str__`.
+    ``w[i@q](x)v`` by :meth:`__str__`. Slotted: a run keeps every
+    operation it records, and a per-instance dict would add about 40%
+    to each one's memory.
     """
 
     op_id: int

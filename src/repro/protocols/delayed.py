@@ -129,8 +129,7 @@ class DelayedApplyMCS(MCSProcess):
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._holdback.add(payload)
-        self._holdback.drain(self._ready, self._release)
+        self._holdback.arrive(payload, self._ready, self._release)
 
     def _ready(self, update: CausalUpdate) -> bool:
         return update.ts.causally_ready(self._seen, update.sender_index)

@@ -27,6 +27,23 @@ class CausalHoldBack:
         if len(self._buffer) > self.max_buffered:
             self.max_buffered = len(self._buffer)
 
+    def arrive(self, message: Any, ready: Ready, apply: Apply) -> None:
+        """Take a received *message*: :meth:`add` it, then :meth:`drain`.
+
+        At an empty buffer the drain's first pass would test *message*
+        alone, so it is tested here instead: applied at once if ready
+        (no snapshot, no removal, no empty second pass), else kept.
+        """
+        if self._buffer:
+            self.add(message)
+            self.drain(ready, apply)
+        elif ready(message):
+            if not self.max_buffered:
+                self.max_buffered = 1
+            apply(message)
+        else:
+            self.add(message)
+
     def release(self, ready: Ready, apply: Apply) -> bool:
         """One pass over a snapshot of the buffer, in arrival order.
 

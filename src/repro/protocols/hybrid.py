@@ -37,6 +37,7 @@ from typing import Any, Callable
 
 from repro.memory.interface import callback_names
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.messages import CausalUpdate
 from repro.protocols.vector import VectorCausalMCS
 from repro.sim.clock import VectorClock
 
@@ -139,6 +140,11 @@ class HybridMCS(VectorCausalMCS):
             self._sequence(payload)
         elif isinstance(payload, StrongUpdate):
             self._strong_buffer[payload.seqno] = payload
+            self._drain()
+        elif isinstance(payload, CausalUpdate):
+            # A weak update may be what the next strong write waits for,
+            # so its arrival runs the joint drain, not the weak one alone.
+            self._holdback.add(payload)
             self._drain()
         else:
             super()._on_message(src, payload)

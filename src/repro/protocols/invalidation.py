@@ -187,8 +187,7 @@ class InvalidationCausalMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, Invalidation):
-            self._holdback.add(payload)
-            self._holdback.drain(self._ready, self._apply_invalidation)
+            self._holdback.arrive(payload, self._ready, self._apply_invalidation)
             self._serve_blocked_requests()
         elif isinstance(payload, FetchRequest):
             self._blocked_requests.append(payload)

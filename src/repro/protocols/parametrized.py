@@ -195,8 +195,7 @@ class ParametrizedMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, DepUpdate):
-            self._holdback.add(payload)
-            self._holdback.drain(self._dep_ready, self._apply_dep)
+            self._holdback.arrive(payload, self._dep_ready, self._apply_dep)
         elif isinstance(payload, WriteRequest):
             self._sequence(payload, stream=self._stream_of(payload.var))
         elif isinstance(payload, SequencedUpdate):

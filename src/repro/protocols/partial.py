@@ -195,8 +195,7 @@ class PartialReplicationMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, (PartialUpdate, WriteNotice)):
-            self._holdback.add(payload)
-            self._holdback.drain(self._ready, self._apply)
+            self._holdback.arrive(payload, self._ready, self._apply)
             self._unblock_requests()
         elif isinstance(payload, ReadRequest):
             self._blocked_requests.append(payload)

@@ -79,11 +79,7 @@ class VectorCausalMCS(MCSProcess):
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._holdback.add(payload)
-        self._drain()
-
-    def _drain(self) -> None:
-        self._holdback.drain(self._ready, self._apply)
+        self._holdback.arrive(payload, self._ready, self._apply)
 
     def _ready(self, update: CausalUpdate) -> bool:
         return update.ts.causally_ready(self._clock, update.sender_index)
@@ -91,7 +87,9 @@ class VectorCausalMCS(MCSProcess):
     def _apply(self, update: CausalUpdate) -> None:
         def commit() -> None:
             self._store[update.var] = update.value
-            self._clock = self._clock.merge(update.ts)
+            # A causally ready update is one write ahead of the clock at
+            # its sender's entry and nowhere else: merging is incrementing.
+            self._clock = self._clock.increment(update.sender_index)
             self.updates_applied += 1
 
         self._apply_with_upcalls(update.var, update.value, commit, own_write=False)

@@ -325,7 +325,12 @@ class ReliableFifoChannel:
                 self.frames_dropped += 1
                 self._sim.trace("msg.drop", self.name, channel=self.name, n=ordinal)
                 return now
-        deliver_at = self._availability.next_up(now) + self._sample_delay()
+        # The common FixedDelay and AlwaysUp are read, not called; a fixed
+        # delay draws nothing, so it needs no stream.
+        availability, delay = self._availability, self._delay
+        deliver_at = (
+            now if type(availability) is AlwaysUp else availability.next_up(now)
+        ) + (delay.delay if type(delay) is FixedDelay else delay.sample(self._stream()))
         tag = self._tag
         if plan is not None and r_reorder < plan.reorder_probability:
             # Escape the FIFO hold-back: this frame's delivery time is
@@ -339,7 +344,8 @@ class ReliableFifoChannel:
         self._schedule_delivery(deliver_at, message, now, ordinal, tag)
         if plan is not None and r_dup < plan.duplicate_probability:
             self.frames_duplicated += 1
-            extra = self._sample_delay() + 1e-9
+            # A plan has drawn already, so the stream exists.
+            extra = delay.sample(self._stream()) + 1e-9
             self._schedule_delivery(
                 deliver_at + extra, message, now, ordinal,
                 f"{self._tag}#dup{self.frames_duplicated}",
@@ -352,40 +358,37 @@ class ReliableFifoChannel:
             self._rng = self._make_rng()
         return self._rng
 
-    def _sample_delay(self) -> float:
-        delay = self._delay
-        if type(delay) is FixedDelay:
-            return delay.delay  # draws nothing, so needs no stream
-        return delay.sample(self._stream())
-
     def _schedule_delivery(
         self, deliver_at: float, message: Any, send_time: float, ordinal: int, tag: str
     ) -> None:
         self._pending += 1
-        self.stats.max_queue_length = max(self.stats.max_queue_length, self._pending)
-
-        def fire() -> None:
-            self._pending -= 1
-            self.stats.messages_delivered += 1
-            self.stats.total_delay += self._sim.now - send_time
-            tracer = self._sim.tracer
-            if tracer is not None:
-                tracer.emit(
-                    self._sim.now,
-                    "msg.recv",
-                    self.name,
-                    channel=self.name,
-                    n=ordinal,
-                    latency=self._sim.now - send_time,
-                )
-            self._deliver(message)
-
+        if self._pending > self.stats.max_queue_length:
+            self.stats.max_queue_length = self._pending
         # The tag is the scheduling domain: FIFO deliveries of one channel
         # direction share one, so a SchedulerPolicy can interleave them
         # against other components but never reorder them against each
         # other (FIFO is part of the channel's contract). Reordered and
         # duplicate frames are unordered by design and get a tag each.
-        self._sim.schedule_at(deliver_at, fire, tag=tag)
+        # The frame fires at exactly deliver_at, so its latency is known now.
+        self._sim.schedule_at(
+            deliver_at,
+            functools.partial(self._fire, message, deliver_at - send_time, ordinal),
+            tag=tag,
+        )
+
+    def _fire(self, message: Any, latency: float, ordinal: int) -> None:
+        """Deliver one scheduled frame: stats, ``msg.recv``, then *deliver*."""
+        self._pending -= 1
+        stats = self.stats
+        stats.messages_delivered += 1
+        stats.total_delay += latency
+        tracer = self._sim.tracer
+        if tracer is not None:
+            tracer.emit(
+                self._sim.now, "msg.recv", self.name,
+                channel=self.name, n=ordinal, latency=latency,
+            )
+        self._deliver(message)
 
     def close(self) -> None:
         """Refuse further sends. In-flight messages still deliver."""
@@ -394,6 +397,11 @@ class ReliableFifoChannel:
     def state_key(self) -> tuple:
         """Sent and delivered counts, the FIFO floor and the rng state.
 
+        A stream that was never derived keys as ``None``: it has never
+        drawn, so its state is still the link's fixed initial one, and
+        deriving it only to hash that state would seed a generator per
+        link at every fingerprint.
+
         In-flight frames show up in the kernel's pending ``(time, tag)``
         signature instead; see :mod:`repro.explore.fingerprint`.
         """
@@ -401,7 +409,7 @@ class ReliableFifoChannel:
             self.stats.messages_sent,
             self.stats.messages_delivered,
             self._last_delivery,
-            rng_mod.state_key(self._stream()),
+            None if self._rng is None else rng_mod.state_key(self._rng),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -59,9 +59,10 @@ class VectorClock:
 
     def increment(self, proc: int) -> "VectorClock":
         """Return a copy with *proc*'s entry incremented by one."""
-        counts = list(self._counts) + [0] * (_index(proc) + 1 - len(self._counts))
-        counts[proc] += 1
-        return VectorClock._of(tuple(counts))
+        counts = self._counts
+        if 0 <= proc < len(counts):
+            return VectorClock._of(counts[:proc] + (counts[proc] + 1,) + counts[proc + 1:])
+        return VectorClock._of(counts + (0,) * (_index(proc) - len(counts)) + (1,))
 
     def merge(self, other: "VectorClock") -> "VectorClock":
         """Pointwise maximum (join) of the two clocks."""
@@ -86,7 +87,8 @@ class VectorClock:
         every vector-clock protocol.
         """
         counts = self._counts
-        if _index(sender) >= len(counts):
+        if not 0 <= sender < len(counts):
+            _index(sender)  # raises for a negative index
             return False
         local = clock._counts + (0,) * (len(counts) - len(clock._counts))
         if counts[sender] != local[sender] + 1:

@@ -31,10 +31,11 @@ from repro.errors import SimulationError
 logger = logging.getLogger(__name__)
 
 
-class _ScheduledEvent:
-    """One scheduled callback. The heap holds ``(time, seq, event)``
-    tuples, which compare in C; ``seq`` is unique, so the event itself
-    is never compared.
+class EventHandle:
+    """One scheduled callback, and the handle :meth:`Simulator.schedule`
+    returns to cancel it. The heap holds ``(time, seq, event)`` tuples,
+    which compare in C; ``seq`` is unique, so the event itself is never
+    compared.
 
     ``tag`` is the scheduling-domain label: events with the same tag
     belong to one component (a FIFO channel direction, a process) and
@@ -58,6 +59,10 @@ class _ScheduledEvent:
         self.tag = tag
         self.taken = False
         self.view: Optional[EnabledEvent] = None
+
+    def cancel(self) -> None:
+        """Prevent the event from firing. Cancelling twice is a no-op."""
+        self.cancelled = True
 
     def make_view(self) -> EnabledEvent:
         self.view = EnabledEvent(self.time, self.seq, self.tag)
@@ -111,27 +116,6 @@ class FifoPolicy(SchedulerPolicy):
         return 0
 
 
-class EventHandle:
-    """Handle returned by :meth:`Simulator.schedule`, usable to cancel."""
-
-    __slots__ = ("_event",)
-
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
-
-    def cancel(self) -> None:
-        """Prevent the event from firing. Cancelling twice is a no-op."""
-        self._event.cancelled = True
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def time(self) -> float:
-        return self._event.time
-
-
 class Simulator:
     """A discrete-event simulator with a virtual clock.
 
@@ -150,14 +134,18 @@ class Simulator:
         policy: Optional[SchedulerPolicy] = None,
         instruments: Optional[Any] = None,
     ) -> None:
-        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
+        self._queue: list[tuple[float, int, EventHandle]] = []
         self._seq = itertools.count()
         self._now = 0.0
         self._running = False
         self._processed = 0
         self._policy = policy
         self._instruments: Optional[Any] = None
-        self._tracer: Optional[Any] = None
+        #: The attached tracer, or None: the one guard of every hook site
+        #: (a registry counts by reducing the trace, so it always comes
+        #: with a tracer). A plain attribute, read on every delivery;
+        #: set only through :attr:`instruments`.
+        self.tracer: Optional[Any] = None
         self._event_counter: Optional[Any] = None
         if instruments is not None:
             self.instruments = instruments
@@ -182,18 +170,11 @@ class Simulator:
         if self._running:
             raise SimulationError("cannot swap instruments mid-run")
         self._instruments = instruments
-        self._tracer = getattr(instruments, "tracer", None)
+        self.tracer = getattr(instruments, "tracer", None)
         metrics = getattr(instruments, "metrics", None)
         self._event_counter = (
             metrics.counter("sim_events_total") if metrics is not None else None
         )
-
-    @property
-    def tracer(self) -> Optional[Any]:
-        """The attached tracer, or None: the one guard of every hook site
-        (a registry counts by reducing the trace, so it always comes with
-        a tracer)."""
-        return self._tracer
 
     def trace(self, kind: str, component: str, **kwargs: Any) -> None:
         """Emit a trace event at the current virtual time, if tracing.
@@ -202,7 +183,7 @@ class Simulator:
         when no tracer is attached; hook sites across the stack call this
         so the disabled cost stays one None check.
         """
-        tracer = self._tracer
+        tracer = self.tracer
         if tracer is not None:
             tracer.emit(self._now, kind, component, **kwargs)
 
@@ -236,7 +217,7 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        return self._push(self._now + delay, callback, tag)
+        return self.schedule_at(self._now + delay, callback, tag)
 
     def schedule_at(
         self,
@@ -252,15 +233,10 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError(f"cannot schedule in the past (at={time}, now={self._now})")
-        return self._push(time, callback, tag)
-
-    def _push(
-        self, time: float, callback: Callable[[], None], tag: Optional[str]
-    ) -> EventHandle:
         seq = next(self._seq)
-        event = _ScheduledEvent(time, seq, callback, tag)
+        event = EventHandle(time, seq, callback, tag)
         heapq.heappush(self._queue, (time, seq, event))
-        return EventHandle(event)
+        return event
 
     def call_soon(
         self, callback: Callable[[], None], tag: Optional[str] = None
@@ -278,22 +254,7 @@ class Simulator:
         group), so equal-time events of independent components may fire
         in any admissible order.
         """
-        if self._policy is None:
-            queue = self._queue
-            while queue:
-                time, _seq, event = heapq.heappop(queue)
-                if event.cancelled or event.taken:
-                    continue
-                if time < self._now:
-                    raise SimulationError("event queue went backwards in time")
-                self._now = time
-                self._processed += 1
-                if self._event_counter is not None:
-                    self._event_counter.inc()
-                event.callback()
-                return True
-            return False
-        return self._policy_step()
+        return self._fire_next(None, 1) == 1
 
     def enabled_events(self) -> list[EnabledEvent]:
         """The events a policy may currently choose among: pending events
@@ -301,13 +262,13 @@ class Simulator:
         (untagged events form one conservative group), sorted by seq."""
         return [event.view or event.make_view() for event in self._candidates()]
 
-    def _candidates(self) -> list[_ScheduledEvent]:
+    def _candidates(self) -> list[EventHandle]:
         """The heap entries behind :meth:`enabled_events`."""
         head = self._peek()
         if head is None:
             return []
         now_time = head.time
-        groups: dict[Optional[str], _ScheduledEvent] = {}
+        groups: dict[Optional[str], EventHandle] = {}
         for time, seq, event in self._queue:
             if time != now_time or event.cancelled or event.taken:
                 continue
@@ -316,10 +277,10 @@ class Simulator:
                 groups[event.tag] = event
         return sorted(groups.values(), key=attrgetter("seq"))
 
-    def _policy_step(self) -> bool:
+    def _policy_step(self) -> None:
+        """Fire the policy's pick among the candidates; the queue holds a
+        live event, so there is at least one."""
         candidates = self._candidates()
-        if not candidates:
-            return False
         views = [event.view or event.make_view() for event in candidates]
         index = 0 if len(views) == 1 else self._policy.choose(views)
         if not 0 <= index < len(candidates):
@@ -336,7 +297,6 @@ class Simulator:
             self._event_counter.inc()
         self._policy.executed(views[index])
         chosen.callback()
-        return True
 
     def run(
         self,
@@ -354,19 +314,7 @@ class Simulator:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         try:
-            executed = 0
-            while self._queue:
-                if max_events is not None and executed >= max_events:
-                    break
-                nxt = self._peek()
-                if nxt is None:
-                    break
-                if until is not None and nxt.time > until:
-                    self._now = until
-                    break
-                if not self.step():
-                    break
-                executed += 1
+            executed = self._fire_next(until, max_events)
             if until is not None and self._now < until and not self._queue:
                 self._now = until
         finally:
@@ -379,7 +327,46 @@ class Simulator:
         )
         return self._now
 
-    def _peek(self) -> Optional[_ScheduledEvent]:
+    def _fire_next(self, until: Optional[float], max_events: Optional[int]) -> int:
+        """Fire events until the queue drains, the next one lies past
+        *until* (the clock then stops at *until*) or *max_events* have
+        fired; returns how many fired.
+
+        Cancelled and taken heap entries are skipped as they surface.
+        Without a policy the live head is popped and fired right here;
+        with one, the head only fixes the instant and the policy picks
+        the event among that instant's candidates.
+        """
+        queue = self._queue
+        pop = heapq.heappop
+        policy = self._policy
+        counter = self._event_counter
+        executed = 0
+        while queue:
+            if max_events is not None and executed >= max_events:
+                break
+            time, _seq, event = queue[0]
+            if event.cancelled or event.taken:
+                pop(queue)
+                continue
+            if until is not None and time > until:
+                self._now = until
+                break
+            if policy is not None:
+                self._policy_step()
+            else:
+                pop(queue)
+                if time < self._now:
+                    raise SimulationError("event queue went backwards in time")
+                self._now = time
+                self._processed += 1
+                if counter is not None:
+                    counter.inc()
+                event.callback()
+            executed += 1
+        return executed
+
+    def _peek(self) -> Optional[EventHandle]:
         queue = self._queue
         while queue and (queue[0][2].cancelled or queue[0][2].taken):
             heapq.heappop(queue)

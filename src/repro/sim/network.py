@@ -80,11 +80,7 @@ class Network:
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         """Send *payload* from node *src* to node *dst* (FIFO per pair)."""
-        if src not in self._nodes:
-            raise ConfigurationError(f"unknown sender {src!r}")
-        if dst not in self._nodes:
-            raise ConfigurationError(f"unknown destination {dst!r}")
-        channel = self._channel(src, dst)
+        channel = self._channels.get((src, dst)) or self._channel(src, dst)
         self.messages_sent += 1
         tracer = self.sim.tracer
         if tracer is not None:
@@ -114,19 +110,21 @@ class Network:
         return count
 
     def _channel(self, src: str, dst: str) -> ReliableFifoChannel:
+        """Build the src->dst channel on its first message; only then are
+        the two endpoints checked, so cached sends pay for no lookup."""
+        if src not in self._nodes:
+            raise ConfigurationError(f"unknown sender {src!r}")
+        if dst not in self._nodes:
+            raise ConfigurationError(f"unknown destination {dst!r}")
         key = (src, dst)
-        channel = self._channels.get(key)
-        if channel is None:
-            delay = self._delays.get(key, self._default_delay)
-            node = self._nodes[dst]
-            channel = ReliableFifoChannel(
-                self.sim,
-                deliver=lambda payload, _src=src, _node=node: _node.deliver(_src, payload),
-                delay=delay,
-                rng=functools.partial(rng_mod.derive, self._seed, self.name, src, dst),
-                name=f"{self.name}:{src}->{dst}",
-            )
-            self._channels[key] = channel
+        channel = ReliableFifoChannel(
+            self.sim,
+            deliver=functools.partial(self._nodes[dst].deliver, src),
+            delay=self._delays.get(key, self._default_delay),
+            rng=functools.partial(rng_mod.derive, self._seed, self.name, src, dst),
+            name=f"{self.name}:{src}->{dst}",
+        )
+        self._channels[key] = channel
         return channel
 
 

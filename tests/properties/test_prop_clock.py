@@ -178,6 +178,31 @@ def test_oracle_operation_chains(seeds, steps):
             _assert_relations(clock, ref, other, ref_other)
 
 
+@st.composite
+def timestamps_near(draw):
+    """A replica clock, a sender and a timestamp built around the clock:
+    no entry behind it but the sender's within reach of the next one,
+    and sometimes one entry ahead, so readiness holds in about a sixth of
+    the cases and fails in every way in the rest."""
+    local = draw(sparse_entries)
+    sender = draw(st.integers(0, MAX_PROC))
+    ts = {proc: draw(st.integers(0, local.get(proc, 0))) for proc in range(MAX_PROC + 1)}
+    ts[sender] = local.get(sender, 0) + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        ahead = draw(st.integers(0, MAX_PROC + 1))
+        ts[ahead] = ts.get(ahead, 0) + 1
+    return VectorClock(local), VectorClock(ts), sender
+
+
+@settings(max_examples=300, deadline=None)
+@given(timestamps_near())
+def test_merging_a_ready_timestamp_is_incrementing(case):
+    # The vector-causal apply increments the sender's entry instead of
+    # merging; the two agree exactly when the update is causally ready.
+    local, ts, sender = case
+    assert ts.causally_ready(local, sender) == (local.merge(ts) == local.increment(sender))
+
+
 def test_explicit_zero_entries_equal_the_empty_clock():
     assert VectorClock({3: 0}) == VectorClock()
     assert hash(VectorClock({3: 0})) == hash(VectorClock())

@@ -5,6 +5,9 @@ The reference below is written independently of
 list on every pass instead of removing from a snapshot. Readiness is
 random and changes as items are applied: an item waits for a random set
 of other items and for a random number of applies before it.
+:meth:`CausalHoldBack.arrive`, which settles an item arriving at an empty
+buffer without a pass, is held to the same reference: one arrival, then
+passes until one applies nothing.
 """
 
 from hypothesis import given, strategies as st
@@ -95,3 +98,36 @@ def test_later_items_see_applies_earlier_in_the_same_pass():
     assert applied == ["a", "c", "b"]
     assert not holdback.release(ready, applied.append)
     assert holdback.state_key() == ((), 3)
+
+
+@given(workloads())
+def test_arrivals_match_reference(workload):
+    # Items arrive one at a time and each arrival drains, as in a
+    # protocol's delivery handler; most reach an empty buffer and take
+    # arrive's direct path.
+    arrivals, ready = workload
+    holdback = CausalHoldBack()
+    applied = []
+    expected_applied, expected_waiting, expected_peak = [], [], 0
+    for item in arrivals:
+        holdback.arrive(item, lambda item: ready(item, applied), applied.append)
+        expected_waiting = expected_waiting + [item]
+        expected_peak = max(expected_peak, len(expected_waiting))
+        *_, (after, expected_waiting) = reference_passes(
+            expected_waiting, lambda item, _applied: ready(item, expected_applied + _applied)
+        )
+        expected_applied += after
+        assert applied == expected_applied
+        assert holdback.state_key() == (tuple(expected_waiting), expected_peak)
+
+
+def test_arrive_applies_a_ready_item_at_an_empty_buffer_directly():
+    holdback = CausalHoldBack()
+    applied = []
+    holdback.arrive("a", lambda item: True, applied.append)
+    assert applied == ["a"]
+    assert holdback.state_key() == ((), 1)
+    holdback.arrive("b", lambda item: False, applied.append)
+    holdback.arrive("c", lambda item: item == "c", applied.append)
+    assert applied == ["a", "c"]
+    assert holdback.state_key() == (("b",), 2)

@@ -7,6 +7,9 @@ from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import get
+from repro.protocols.hybrid import StrongUpdate
+from repro.protocols.messages import CausalUpdate
+from repro.sim.clock import VectorClock
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, build_interconnected, populate_system
 from repro.workloads.scenarios import run_until_quiescent
@@ -106,6 +109,33 @@ class TestStrongTotalOrder:
         run_until_quiescent(sim, [system])
         for log in strong_logs(system):
             assert log.index(("x", "first")) < log.index(("y", "second"))
+
+
+class TestJointDrain:
+    def test_weak_arrival_releases_the_strong_write_waiting_on_it(self):
+        # B writes x weakly, then y strongly. C receives the sequenced
+        # strong write first: it waits in the strong buffer for B's weak
+        # write. The weak write's arrival must apply both, within that
+        # one delivery.
+        _, _, system = make_system()
+        for name in ("A", "B", "C"):
+            system.add_application(name, [])
+        sequencer, b, c = (app.mcs for app in system.app_processes)
+        weak = CausalUpdate(
+            var="x", value="w", ts=VectorClock({b.proc_index: 1}),
+            sender_index=b.proc_index, sender_name=b.name,
+        )
+        strong = StrongUpdate(
+            seqno=0, var="y", value="s", ts=VectorClock({b.proc_index: 2}),
+            sender_index=b.proc_index, origin=b.name,
+        )
+        c._on_message(sequencer.name, strong)
+        assert c.strong_apply_log == []
+        assert c.local_value("y") != "s"
+        c._on_message(b.name, weak)
+        assert c.strong_apply_log == [("y", "s")]
+        assert (c.local_value("x"), c.local_value("y")) == ("w", "s")
+        assert c.clock == VectorClock({b.proc_index: 2})
 
 
 class TestConsistency:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.core import Simulator
+from repro.sim.core import EventHandle, FifoPolicy, Simulator
 
 
 class TestScheduling:
@@ -97,6 +97,60 @@ class TestCancellation:
         assert sim.pending == 1
 
 
+    def test_handle_is_the_scheduled_event(self):
+        sim = Simulator()
+        handle = sim.schedule(2.0, lambda: None, tag="t")
+        assert isinstance(handle, EventHandle)
+        assert (handle.time, handle.tag, handle.cancelled) == (2.0, "t", False)
+        assert sim._queue[0][2] is handle
+
+    def test_cancelled_event_is_skipped_by_step(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a")).cancel()
+        sim.schedule(2.0, lambda: fired.append("b"))
+        assert sim.step() is True
+        assert fired == ["b"] and sim.now == 2.0
+        assert sim.step() is False
+        assert sim.events_processed == 1
+
+    def test_callback_can_cancel_a_later_event(self):
+        sim = Simulator()
+        fired = []
+        later = sim.schedule(2.0, lambda: fired.append("later"))
+        sim.schedule(1.0, later.cancel)
+        sim.schedule(3.0, lambda: fired.append("last"))
+        sim.run()
+        assert fired == ["last"]
+        assert sim.events_processed == 2
+
+    def test_cancel_after_firing_is_harmless(self):
+        sim = Simulator()
+        fired = []
+        handle = sim.schedule(1.0, lambda: fired.append("x"))
+        sim.run()
+        handle.cancel()
+        assert fired == ["x"] and handle.cancelled and sim.pending == 0
+
+    def test_cancelled_head_does_not_count_towards_max_events(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, lambda: fired.append(1)).cancel()
+        sim.schedule(2.0, lambda: fired.append(2))
+        sim.schedule(3.0, lambda: fired.append(3))
+        sim.run(max_events=1)
+        assert fired == [2]
+
+    def test_cancelled_event_is_no_policy_candidate(self):
+        sim = Simulator(policy=FifoPolicy())
+        fired = []
+        sim.schedule(1.0, lambda: fired.append("a"), tag="x").cancel()
+        sim.schedule(1.0, lambda: fired.append("b"), tag="y")
+        assert [view.tag for view in sim.enabled_events()] == ["y"]
+        sim.run()
+        assert fired == ["b"]
+
+
 class TestRunBounds:
     def test_run_until_stops_the_clock(self):
         sim = Simulator()
@@ -144,3 +198,27 @@ class TestRunBounds:
         sim.schedule(1.0, reenter)
         sim.run()
         assert len(captured) == 1
+
+    def test_run_until_past_the_last_event_stops_the_clock_there(self):
+        sim = Simulator()
+        sim.schedule(1.0, lambda: None)
+        assert sim.run(until=5.0) == 5.0
+
+    def test_step_and_run_fire_the_same_sequence(self):
+        def build():
+            sim = Simulator()
+            fired = []
+            for index, delay in enumerate([3.0, 1.0, 1.0, 2.0, 0.0]):
+                handle = sim.schedule(delay, lambda index=index: fired.append(index))
+                if index == 3:
+                    handle.cancel()
+            return sim, fired
+
+        stepped, by_step = build()
+        while stepped.step():
+            pass
+        ran, by_run = build()
+        ran.run()
+        assert by_step == by_run == [4, 1, 2, 0]
+        assert stepped.events_processed == ran.events_processed == 4
+        assert stepped.now == ran.now == 3.0
