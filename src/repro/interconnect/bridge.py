@@ -23,6 +23,7 @@ The channel joining the IS-processes comes in two flavours:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -171,7 +172,9 @@ def connect(
         channel_factory: override the channel joining the two
             IS-processes (default :class:`ReliableFifoChannel`). Called
             with the same keyword arguments as ``ReliableFifoChannel``;
-            the X7 experiments pass
+            its ``rng`` is a zero-argument callable that derives the
+            link's stream, so a link that never draws never seeds one.
+            The X7 experiments pass
             ``functools.partial(ReliableFifoChannel, faults=...)`` to
             break one channel assumption at a time.
         transport: ``"reliable"`` assumes the §1.1 channel;
@@ -282,7 +285,7 @@ def connect(
             deliver=deliver_to(isp_b),
             delay=delay,
             availability=availability,
-            rng=rng_mod.derive(seed, bridge_name, "ab"),
+            rng=functools.partial(rng_mod.derive, seed, bridge_name, "ab"),
             name=f"{bridge_name}:{isp_a.name}->{isp_b.name}",
         )
         channel_ba = factory(
@@ -290,7 +293,7 @@ def connect(
             deliver=deliver_to(isp_a),
             delay=delay,
             availability=availability,
-            rng=rng_mod.derive(seed, bridge_name, "ba"),
+            rng=functools.partial(rng_mod.derive, seed, bridge_name, "ba"),
             name=f"{bridge_name}:{isp_b.name}->{isp_a.name}",
         )
     isp_a.add_peer(isp_b.name, channel_ab)

@@ -120,8 +120,19 @@ class TestStateKey:
             "channel": link.channel,
             "stats": link.channel.stats,
         }[owner]
+        if attribute == "_rng":
+            # The zero-delay link never drew, so it holds no stream yet:
+            # derive it, then the draw below is what the key must see.
+            target._stream()
         before = state_fingerprint(result)
         setattr(target, attribute, _bump(getattr(target, attribute)))
+        assert state_fingerprint(result) != before
+
+    def test_first_draw_of_a_never_derived_stream_changes_the_key(self):
+        result, _, _, _, link = _bridge_parts()
+        assert link.channel._rng is None
+        before = state_fingerprint(result)
+        link.channel._stream().random()
         assert state_fingerprint(result) != before
 
     def test_store_order_is_canonical(self):

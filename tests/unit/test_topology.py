@@ -1,5 +1,7 @@
 """Unit tests for bridges and tree topologies."""
 
+import hashlib
+
 import pytest
 
 from repro.errors import ConfigurationError, TopologyError
@@ -10,11 +12,15 @@ from repro.interconnect.topology import (
     star_edges,
     validate_tree,
 )
-from repro.memory.program import Write
+from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import get
+from repro.sim import rng as rng_mod
+from repro.sim.channel import ReliableFifoChannel, UniformDelay
 from repro.sim.core import Simulator
+from repro.trace import dumps_history
+from repro.workloads.scenarios import run_until_quiescent, small_bridge_scenario
 
 
 def make_systems(count, recorder=None, sim=None):
@@ -83,6 +89,72 @@ class TestConnect:
         _, [s0] = make_systems(1)
         with pytest.raises(ConfigurationError, match="itself"):
             connect(s0, s0)
+
+
+class TestBridgeStreams:
+    """A reliable bridge link derives its rng from (seed, bridge name,
+    direction) on the first draw; a link that never draws never seeds one."""
+
+    SEED = 5
+    #: Channel name -> direction label, as ``connect`` names the two links.
+    DIRECTIONS = {"link:S0-S1:isp:S0->isp:S1": "ab", "link:S0-S1:isp:S1->isp:S0": "ba"}
+
+    @pytest.mark.parametrize("use_pre_update", [False, True])
+    def test_zero_delay_links_never_derive_a_stream(self, use_pre_update):
+        result = small_bridge_scenario(use_pre_update=use_pre_update)
+        run_until_quiescent(result.sim, result.systems)
+        bridge = result.interconnection.bridges[0]
+        assert bridge.messages_crossing > 0
+        assert bridge.channel_ab._rng is None
+        assert bridge.channel_ba._rng is None
+
+    def _run(self, channel_factory=None):
+        """Two bridged systems under a sampled delay: the pairs each
+        IS-process received with their arrival times, the history digest,
+        and the bridge."""
+        sim = Simulator()
+        recorder = HistoryRecorder()
+        s0, s1 = (
+            DSMSystem(sim, f"S{index}", get("vector-causal"), recorder=recorder, seed=index)
+            for index in range(2)
+        )
+        for system, value in ((s0, "a"), (s1, "b")):
+            writes = [Write("x", f"{value}{i}") for i in range(4)]
+            system.add_application("W", [step for write in writes for step in (write, Sleep(0.5))])
+            system.add_application("R", [Read("x"), Sleep(1.0)] * 6)
+        bridge = connect(
+            s0, s1, delay=UniformDelay(0.1, 3.0), seed=self.SEED, channel_factory=channel_factory
+        )
+        arrivals = []
+        for isp in (bridge.isp_a, bridge.isp_b):
+            def receive(sender, pair, isp=isp, inner=isp.receive):
+                arrivals.append((sim.now, isp.name, sender, pair))
+                inner(sender, pair)
+
+            isp.receive = receive
+        run_until_quiescent(sim, [s0, s1])
+        digest = hashlib.sha256(dumps_history(recorder.history()).encode("utf-8")).hexdigest()
+        return arrivals, digest, bridge
+
+    def _eager_channel(self, sim, rng, name, **kwargs):
+        """The oracle link: its stream is derived at construction, from
+        the same labels, and the callable ``connect`` passed is unused."""
+        stream = rng_mod.derive(self.SEED, "link:S0-S1", self.DIRECTIONS[name])
+        return ReliableFifoChannel(sim, rng=stream, name=name, **kwargs)
+
+    def test_sampled_delay_links_match_eagerly_derived_streams(self):
+        lazy_arrivals, lazy_digest, lazy = self._run()
+        eager_arrivals, eager_digest, eager = self._run(self._eager_channel)
+        assert lazy_arrivals == eager_arrivals
+        assert lazy_digest == eager_digest
+        # Both directions carried pairs at sampled (non-grid) times.
+        assert {isp for _, isp, _, _ in lazy_arrivals} == {"isp:S0", "isp:S1"}
+        assert len({time % 0.5 for time, *_ in lazy_arrivals}) > 2
+        for channel in (lazy.channel_ab, lazy.channel_ba, eager.channel_ab, eager.channel_ba):
+            assert channel._rng is not None
+        assert eager.channel_ab._make_rng is None and eager.channel_ba._make_rng is None
+        assert lazy.channel_ab._rng.getstate() == eager.channel_ab._rng.getstate()
+        assert lazy.channel_ba._rng.getstate() == eager.channel_ba._rng.getstate()
 
 
 class TestInterconnect:
