@@ -25,10 +25,10 @@ explicit care, as discussed in that module.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, TYPE_CHECKING
+from typing import Any, Callable, Iterable, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError, SimulationError
-from repro.memory.operations import OpKind
+from repro.memory.operations import INITIAL_VALUE, OpKind
 from repro.memory.program import Program, Read, Sleep, Write
 from repro.sim.core import Simulator
 from repro.sim.network import Network
@@ -52,6 +52,14 @@ def callback_names(callbacks: Iterable[Callable[..., Any]]) -> tuple[str, ...]:
     )
 
 
+class ReplicaWrite(NamedTuple):
+    """A bare update for :meth:`MCSProcess._apply_with_upcalls`, for
+    callers that hold no protocol message with ``var`` and ``value``."""
+
+    var: str
+    value: Any
+
+
 class UpcallHandler:
     """Interface an IS-process implements to receive replica-update upcalls."""
 
@@ -73,9 +81,12 @@ class UpcallHandler:
 class MCSProcess(SimProcess):
     """Base class for MCS-processes; protocol behaviour lives in subclasses.
 
-    Subclasses implement :meth:`_handle_write`, :meth:`_handle_read`, and
-    :meth:`_on_message`, and call :meth:`_apply_with_upcalls` whenever they
-    update a local replica so the IS upcall contract is honoured.
+    The base holds the replica (:attr:`_store`, :attr:`updates_applied`)
+    and serves reads from it. Subclasses implement :meth:`_handle_write`
+    and :meth:`_on_message`, apply foreign updates through
+    :meth:`_apply_with_upcalls` so the IS upcall contract is honoured
+    (extending :meth:`_commit` with what their apply adds), and apply
+    their own immediate writes through :meth:`_write_own`.
     """
 
     def __init__(
@@ -98,6 +109,11 @@ class MCSProcess(SimProcess):
         #: The recovery layer drains these and propagates them late — the
         #: dial-up spirit of §1.1 applied to process failures.
         self.missed_upcalls: list[tuple[str, Any]] = []
+        #: The local replica: variable -> value, or whatever entry the
+        #: protocol's :meth:`_commit` stores.
+        self._store: dict[str, Any] = {}
+        #: Updates applied through :meth:`_commit`.
+        self.updates_applied = 0
         network.add_node(name, self._on_message, segment=segment)
 
     # -- application-facing call interface --------------------------------
@@ -135,33 +151,47 @@ class MCSProcess(SimProcess):
         self.missed_upcalls = []
         return missed
 
-    def _apply_with_upcalls(
-        self,
-        var: str,
-        value: Any,
-        apply: Callable[[], None],
-        own_write: bool,
-    ) -> None:
+    def _apply_with_upcalls(self, update: Any, own_write: bool = False) -> None:
         """Apply a replica update, delivering upcalls around it.
 
-        *own_write* marks updates caused by a write issued by this
-        MCS-process's attached application process; per §2 these generate
-        no upcalls (otherwise propagated writes would bounce back).
+        *update* is anything with ``var`` and ``value`` (a protocol
+        message, usually); :meth:`_commit` changes the replica between
+        the ``pre_update`` and ``post_update`` upcalls. *own_write* marks
+        updates caused by a write issued by this MCS-process's attached
+        application process; per §2 these generate no upcalls (otherwise
+        propagated writes would bounce back).
         """
         handler = self.upcall_handler
         upcalls = handler is not None and not own_write
         accepting = upcalls and handler.accepting_upcalls
         if accepting and handler.wants_pre_update:
-            handler.pre_update(var)
-        apply()
+            handler.pre_update(update.var)
+        self._commit(update)
         if self.sim.tracer is not None:
-            self._replica_applied(var, value, own_write)
+            self._replica_applied(update.var, update.value, own_write)
         if accepting:
-            handler.post_update(var, value)
+            handler.post_update(update.var, update.value)
         elif upcalls:
             # The attached IS-process is down: the update is applied and
             # the notification queued; recovery will propagate it late.
-            self.missed_upcalls.append((var, value))
+            self.missed_upcalls.append((update.var, update.value))
+
+    def _commit(self, update: Any) -> None:
+        """Change the replica for *update*, inside the upcall bracket.
+
+        Protocols extend this with their own apply bookkeeping (clocks,
+        delivered counts) so that ``pre_update`` sees the state before
+        it and ``replica.apply`` and ``post_update`` the state after.
+        """
+        self._store[update.var] = update.value
+        self.updates_applied += 1
+
+    def _write_own(self, var: str, value: Any) -> None:
+        """Apply this process's own immediate write: no upcalls (§2), and
+        not counted in :attr:`updates_applied`."""
+        self._store[var] = value
+        if self.sim.tracer is not None:
+            self._replica_applied(var, value, True)
 
     def _replica_applied(self, var: str, value: Any, own_write: bool) -> None:
         """Trace every replica update (own writes included); the latency
@@ -183,14 +213,23 @@ class MCSProcess(SimProcess):
         raise NotImplementedError
 
     def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        raise NotImplementedError
+        done(self._store.get(var, INITIAL_VALUE))
 
     def _on_message(self, src: str, payload: Any) -> None:
         raise NotImplementedError
 
     def local_value(self, var: str) -> Any:
         """Current value of the local replica of *var* (diagnostics)."""
-        raise NotImplementedError
+        return self._store.get(var, INITIAL_VALUE)
+
+    def _replica_key(self) -> tuple:
+        """The :meth:`state_key` prefix this class owns: store, apply
+        count and queued missed upcalls."""
+        return (
+            tuple(sorted(self._store.items())),
+            self.updates_applied,
+            tuple(self.missed_upcalls),
+        )
 
     def state_key(self) -> tuple:
         """Everything about this process that can influence the future.
@@ -201,6 +240,7 @@ class MCSProcess(SimProcess):
         field left out is an unsound merge (see
         :mod:`repro.explore.fingerprint`). Constant identity fields
         (``name``, ``proc_index``, ``segment``) may be left out.
+        Implementations start from :meth:`_replica_key`.
         """
         raise NotImplementedError(
             f"{type(self).__name__} defines no state_key(); the schedule "
@@ -349,4 +389,4 @@ class AppProcess(SimProcess):
         )
 
 
-__all__ = ["MCSProcess", "AppProcess", "UpcallHandler", "callback_names"]
+__all__ = ["MCSProcess", "AppProcess", "ReplicaWrite", "UpcallHandler", "callback_names"]

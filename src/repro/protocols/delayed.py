@@ -58,7 +58,6 @@ class DelayedApplyMCS(MCSProcess):
         super().__init__(**kwargs)
         self._ctx = VectorClock()  # attached application's causal context
         self._seen = VectorClock()  # gates causal readiness
-        self._store: dict[str, tuple[Any, VectorClock]] = {}
         self._holdback = CausalHoldBack()
         # Per-variable lag queues of (readiness rank, update). The rank
         # rides along with the update (instead of an id()-keyed side
@@ -68,7 +67,6 @@ class DelayedApplyMCS(MCSProcess):
         self._max_lag = max_lag
         self._rng = rng_mod.derive(lag_seed, "delayed", kwargs.get("name", ""))
         self._in_upcall = False
-        self.updates_applied = 0
         self.lag_inversions = 0  # applies that overtook an older ready update
         self._ready_counter = 0
         self._last_applied_rank = -1
@@ -91,10 +89,7 @@ class DelayedApplyMCS(MCSProcess):
         update = CausalUpdate(
             var=var, value=value, ts=ts, sender_index=self.proc_index, sender_name=self.name
         )
-        self._apply_with_upcalls(
-            var, value, lambda: self._store.__setitem__(var, (value, ts)), own_write=True
-        )
-        self.updates_applied += 1
+        self._apply_with_upcalls(update, own_write=True)
         done()
         self.network.broadcast(self.name, update)
 
@@ -109,19 +104,16 @@ class DelayedApplyMCS(MCSProcess):
         return self._store.get(var, (INITIAL_VALUE, VectorClock()))[0]
 
     def state_key(self) -> tuple:
-        return (
+        return self._replica_key() + (
             self._ctx,
             self._seen,
-            tuple(sorted(self._store.items())),
             self._holdback.state_key(),
             tuple(sorted((var, tuple(queue)) for var, queue in self._lag_queues.items())),
             rng_mod.state_key(self._rng),
             self._in_upcall,
-            self.updates_applied,
             self.lag_inversions,
             self._ready_counter,
             self._last_applied_rank,
-            tuple(self.missed_upcalls),
         )
 
     # -- readiness gating ------------------------------------------------------
@@ -177,16 +169,17 @@ class DelayedApplyMCS(MCSProcess):
         if rank < self._last_applied_rank:
             self.lag_inversions += 1
         self._last_applied_rank = max(self._last_applied_rank, rank)
-
-        def commit() -> None:
-            self._store[update.var] = (update.value, update.ts)
-            self.updates_applied += 1
-
         self._in_upcall = True
         try:
-            self._apply_with_upcalls(update.var, update.value, commit, own_write=False)
+            self._apply_with_upcalls(update)
         finally:
             self._in_upcall = False
+
+    def _commit(self, update: CausalUpdate) -> None:
+        # The entry keeps the timestamp: a read merges it into the
+        # reader's causal context.
+        self._store[update.var] = (update.value, update.ts)
+        self.updates_applied += 1
 
 
 DELAYED_CAUSAL = register(

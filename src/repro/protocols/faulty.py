@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.memory.interface import MCSProcess
-from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import CausalUpdate
 from repro.sim import rng as rng_mod
@@ -31,9 +30,7 @@ class FifoApplyMCS(MCSProcess):
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._store: dict[str, Any] = {}
         self._sent = 0
-        self.updates_applied = 0
 
     def _handle_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
         self._sent += 1
@@ -44,37 +41,17 @@ class FifoApplyMCS(MCSProcess):
             sender_index=self.proc_index,
             sender_name=self.name,
         )
-        self._apply_with_upcalls(
-            var, value, lambda: self._store.__setitem__(var, value), own_write=True
-        )
+        self._write_own(var, value)
         done()
         self.network.broadcast(self.name, update)
 
-    def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        done(self._store.get(var, INITIAL_VALUE))
-
-    def local_value(self, var: str) -> Any:
-        return self._store.get(var, INITIAL_VALUE)
-
     def state_key(self) -> tuple:
-        return (
-            tuple(sorted(self._store.items())),
-            self._sent,
-            self.updates_applied,
-            tuple(self.missed_upcalls),
-        )
+        return self._replica_key() + (self._sent,)
 
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._apply(payload)
-
-    def _apply(self, update: CausalUpdate) -> None:
-        def commit() -> None:
-            self._store[update.var] = update.value
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=False)
+        self._apply_with_upcalls(payload)
 
 
 class ScrambledApplyMCS(FifoApplyMCS):
@@ -91,7 +68,8 @@ class ScrambledApplyMCS(FifoApplyMCS):
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self.after(self._rng.uniform(0.0, self._max_lag), lambda: self._apply(payload))
+        lag = self._rng.uniform(0.0, self._max_lag)
+        self.after(lag, lambda: self._apply_with_upcalls(payload))
 
 
 FIFO_APPLY = register(

@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.memory.interface import callback_names
+from repro.memory.interface import MCSProcess, callback_names
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import CausalUpdate
 from repro.protocols.vector import VectorCausalMCS
@@ -152,7 +152,8 @@ class HybridMCS(VectorCausalMCS):
     def _drain(self) -> None:
         # Non-short-circuit ``|``: every round runs one weak pass and
         # then one strong step.
-        while self._holdback.release(self._ready, self._apply) | self._release_strong():
+        apply = self._apply_with_upcalls
+        while self._holdback.release(self._ready, apply) | self._release_strong():
             pass
 
     def _release_strong(self) -> bool:
@@ -165,19 +166,20 @@ class HybridMCS(VectorCausalMCS):
             return False
         del self._strong_buffer[self._next_strong]
         self._next_strong += 1
-        self._apply_strong(strong, own)
-        return True
-
-    def _apply_strong(self, update: StrongUpdate, own: bool) -> None:
-        def commit() -> None:
-            self._store[update.var] = update.value
-            self._clock = self._clock.merge(update.ts)
-            self.strong_apply_log.append((update.var, update.value))
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=own)
+        self._apply_with_upcalls(strong, own_write=own)
         if own:
             self._pending_strong_acks.pop(0)()
+        return True
+
+    def _commit(self, update: CausalUpdate | StrongUpdate) -> None:
+        if isinstance(update, StrongUpdate):
+            # Merge, not increment: a writer's own strong write is
+            # already in its clock.
+            MCSProcess._commit(self, update)
+            self._clock = self._clock.merge(update.ts)
+            self.strong_apply_log.append((update.var, update.value))
+        else:
+            super()._commit(update)
 
 
 HYBRID = register(

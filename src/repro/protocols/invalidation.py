@@ -34,7 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.memory.interface import MCSProcess, callback_names
+from repro.memory.interface import MCSProcess, ReplicaWrite, callback_names
 from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.holdback import CausalHoldBack
@@ -127,7 +127,7 @@ class InvalidationCausalMCS(MCSProcess):
         return self._applied.merge(self._extra)
 
     def state_key(self) -> tuple:
-        return (
+        return self._replica_key() + (
             tuple(
                 (var, r.value, r.ts, r.valid, r.winner_ts, r.winner_writer)
                 for var, r in sorted(self._replicas.items())
@@ -144,7 +144,6 @@ class InvalidationCausalMCS(MCSProcess):
             self.invalidations_applied,
             self.fetches,
             self.redirects,
-            tuple(self.missed_upcalls),
         )
 
     # -- call handling ----------------------------------------------------------
@@ -153,15 +152,12 @@ class InvalidationCausalMCS(MCSProcess):
         ts = self._ctx.increment(self.proc_index)
         self._applied = self._applied.merge(ts)
         replica = self._replica(var)
-
-        def commit() -> None:
-            replica.value = value
-            replica.ts = ts
-            replica.valid = True
-            replica.winner_ts = ts
-            replica.winner_writer = self.name
-
-        self._apply_with_upcalls(var, value, commit, own_write=True)
+        replica.value = value
+        replica.ts = ts
+        replica.valid = True
+        replica.winner_ts = ts
+        replica.winner_writer = self.name
+        self._apply_with_upcalls(ReplicaWrite(var, value), own_write=True)
         self._propagated_values.add((var, value))
         done()
         self.network.broadcast(
@@ -182,6 +178,11 @@ class InvalidationCausalMCS(MCSProcess):
 
     def replica_valid(self, var: str) -> bool:
         return self._replica(var).valid
+
+    def _commit(self, update: ReplicaWrite) -> None:
+        """Nothing: the replica in :attr:`_replicas` changes where the
+        value arrives (an own write, a fetch reply), so the upcall
+        bracket only announces it."""
 
     # -- invalidation propagation ----------------------------------------------------
 
@@ -326,12 +327,7 @@ class InvalidationCausalMCS(MCSProcess):
                 # fetch will propagate the newer value (invalidation
                 # coalescing — intermediate values may be elided).
                 self._propagated_values.add(key)
-                self._apply_with_upcalls(
-                    invalidation.var,
-                    replica_now.value,
-                    lambda: None,  # the fetch already cached the value
-                    own_write=False,
-                )
+                self._apply_with_upcalls(ReplicaWrite(*key))
             self._upcall_fetch_active = False
             self._pump_upcall_fetches()
 

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.memory.interface import MCSProcess, callback_names
-from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.sim.clock import LamportClock, LamportTimestamp
 
@@ -56,11 +55,9 @@ class LamportSequentialMCS(MCSProcess):
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._clock = LamportClock(self.proc_index)
-        self._store: dict[str, Any] = {}
         self._pending: dict[LamportTimestamp, TotalOrderWrite] = {}
         self._latest_seen: dict[str, int] = {}
         self._write_acks: list[Callable[[], None]] = []
-        self.updates_applied = 0
 
     # -- call handling -----------------------------------------------------
 
@@ -72,21 +69,12 @@ class LamportSequentialMCS(MCSProcess):
         self.network.broadcast(self.name, write)
         self._try_deliver()
 
-    def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        done(self._store.get(var, INITIAL_VALUE))
-
-    def local_value(self, var: str) -> Any:
-        return self._store.get(var, INITIAL_VALUE)
-
     def state_key(self) -> tuple:
-        return (
+        return self._replica_key() + (
             self._clock.current,
-            tuple(sorted(self._store.items())),
             tuple(sorted(self._pending.items())),
             tuple(sorted(self._latest_seen.items())),
             callback_names(self._write_acks),
-            self.updates_applied,
-            tuple(self.missed_upcalls),
         )
 
     # -- total order --------------------------------------------------------
@@ -128,12 +116,7 @@ class LamportSequentialMCS(MCSProcess):
 
     def _apply(self, write: TotalOrderWrite) -> None:
         own = write.origin == self.name
-
-        def commit() -> None:
-            self._store[write.var] = write.value
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(write.var, write.value, commit, own_write=own)
+        self._apply_with_upcalls(write, own_write=own)
         if own:
             self._write_acks.pop(0)()
 

@@ -31,7 +31,6 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.memory.interface import MCSProcess, callback_names
-from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.holdback import CausalHoldBack
 from repro.protocols.messages import SequencedUpdate, WriteRequest
@@ -58,8 +57,6 @@ class ParametrizedMCS(MCSProcess):
             raise ConfigurationError(f"mode must be one of {MODES}, got {mode!r}")
         super().__init__(**kwargs)
         self.mode = mode
-        self._store: dict[str, Any] = {}
-        self.updates_applied = 0
         # causal mode state
         self._delivered: dict[str, int] = {}
         self._sent = 0
@@ -100,16 +97,8 @@ class ParametrizedMCS(MCSProcess):
             else:
                 self.network.send(self.name, sequencer, request)
 
-    def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        done(self._store.get(var, INITIAL_VALUE))
-
-    def local_value(self, var: str) -> Any:
-        return self._store.get(var, INITIAL_VALUE)
-
     def state_key(self) -> tuple:
-        return (
-            tuple(sorted(self._store.items())),
-            self.updates_applied,
+        return self._replica_key() + (
             tuple(sorted(self._delivered.items())),
             self._sent,
             self._holdback.state_key(),
@@ -117,7 +106,6 @@ class ParametrizedMCS(MCSProcess):
             tuple(sorted(self._apply_next.items())),
             tuple(sorted(self._reorder.items())),
             callback_names(self._pending_writes),
-            tuple(self.missed_upcalls),
         )
 
     # -- causal mode ------------------------------------------------------------
@@ -133,9 +121,7 @@ class ParametrizedMCS(MCSProcess):
         self._delivered[self.name] = self._sent
         deps = tuple(sorted(self._delivered.items()))
         update = DepUpdate(var=var, value=value, sender=self.name, seqno=self._sent, deps=deps)
-        self._apply_with_upcalls(
-            var, value, lambda: self._store.__setitem__(var, value), own_write=True
-        )
+        self._write_own(var, value)
         done()
         self.network.broadcast(self.name, update)
 
@@ -148,16 +134,13 @@ class ParametrizedMCS(MCSProcess):
             if sender != update.sender
         )
 
-    def _apply_dep(self, update: DepUpdate) -> None:
-        def commit() -> None:
-            self._store[update.var] = update.value
+    def _commit(self, update: DepUpdate | SequencedUpdate) -> None:
+        super()._commit(update)
+        if isinstance(update, DepUpdate):
             self._delivered[update.sender] = update.seqno
             for sender, count in update.deps:
                 if count > self._delivered.get(sender, 0):
                     raise ProtocolError(f"{self.name}: applied {update} before its deps")
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=False)
 
     # -- sequenced modes ----------------------------------------------------------
 
@@ -182,12 +165,7 @@ class ParametrizedMCS(MCSProcess):
 
     def _apply_sequenced(self, update: SequencedUpdate) -> None:
         own = update.origin == self.name
-
-        def commit() -> None:
-            self._store[update.var] = update.value
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=own)
+        self._apply_with_upcalls(update, own_write=own)
         if own:
             self._pending_writes.pop(0)()
 
@@ -195,7 +173,7 @@ class ParametrizedMCS(MCSProcess):
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, DepUpdate):
-            self._holdback.arrive(payload, self._dep_ready, self._apply_dep)
+            self._holdback.arrive(payload, self._dep_ready, self._apply_with_upcalls)
         elif isinstance(payload, WriteRequest):
             self._sequence(payload, stream=self._stream_of(payload.var))
         elif isinstance(payload, SequencedUpdate):

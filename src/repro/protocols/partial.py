@@ -88,11 +88,9 @@ class PartialReplicationMCS(MCSProcess):
         self.replication_factor = replication_factor
         self._applied = VectorClock()  # gating clock: locally applied writes
         self._extra = VectorClock()  # causal context gained via remote reads
-        self._store: dict[str, tuple[Any, VectorClock]] = {}
         self._holdback = CausalHoldBack()
         self._pending_reads: dict[int, Callable[[Any], None]] = {}
         self._blocked_requests: list[ReadRequest] = []
-        self.updates_applied = 0
         self.notices_applied = 0
         self.remote_reads = 0
 
@@ -131,18 +129,15 @@ class PartialReplicationMCS(MCSProcess):
         return self._applied.merge(self._extra)
 
     def state_key(self) -> tuple:
-        return (
+        return self._replica_key() + (
             self._applied,
             self._extra,
-            tuple(sorted(self._store.items())),
             self._holdback.state_key(),
             tuple(sorted(self._pending_reads)),
             callback_names(done for _, done in sorted(self._pending_reads.items())),
             tuple(self._blocked_requests),
-            self.updates_applied,
             self.notices_applied,
             self.remote_reads,
-            tuple(self.missed_upcalls),
         )
 
     # -- call handling ---------------------------------------------------------------
@@ -150,20 +145,16 @@ class PartialReplicationMCS(MCSProcess):
     def _handle_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
         ts = self._ctx.increment(self.proc_index)
         self._applied = self._applied.merge(ts)
+        update = PartialUpdate(var, value, ts, self.proc_index)
         if self.holds(var):
-            self._apply_with_upcalls(
-                var, value, lambda: self._store.__setitem__(var, (value, ts)), own_write=True
-            )
-            self.updates_applied += 1
+            self._apply_with_upcalls(update, own_write=True)
         done()
         holders = set(self.holders_of(var))
         for node in self._all_nodes():
             if node == self.name:
                 continue
             if node in holders:
-                self.network.send(
-                    self.name, node, PartialUpdate(var, value, ts, self.proc_index)
-                )
+                self.network.send(self.name, node, update)
             else:
                 self.network.send(self.name, node, WriteNotice(var, ts, self.proc_index))
         self._unblock_requests()
@@ -211,15 +202,17 @@ class PartialReplicationMCS(MCSProcess):
 
     def _apply(self, message: PartialUpdate | WriteNotice) -> None:
         if isinstance(message, PartialUpdate):
-            def commit() -> None:
-                self._store[message.var] = (message.value, message.ts)
-                self._applied = self._applied.merge(message.ts)
-                self.updates_applied += 1
-
-            self._apply_with_upcalls(message.var, message.value, commit, own_write=False)
+            self._apply_with_upcalls(message)
         else:
             self._applied = self._applied.merge(message.ts)
             self.notices_applied += 1
+
+    def _commit(self, update: PartialUpdate) -> None:
+        # The entry keeps the timestamp: a read merges it into the
+        # reader's causal context.
+        self._store[update.var] = (update.value, update.ts)
+        self._applied = self._applied.merge(update.ts)
+        self.updates_applied += 1
 
     # -- remote read service -----------------------------------------------------------------
 

@@ -25,7 +25,6 @@ from typing import Any, Callable, Optional
 
 from repro.errors import ProtocolError
 from repro.memory.interface import MCSProcess, callback_names
-from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import SequencedUpdate, WriteRequest
 
@@ -35,13 +34,11 @@ class SequentialMCS(MCSProcess):
 
     def __init__(self, sequencer: Optional[str] = None, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._store: dict[str, Any] = {}
         self._next_assign = 0  # used only when this node is the sequencer
         self._next_apply = 0
         self._reorder: dict[int, SequencedUpdate] = {}
         self._pending_writes: list[tuple[str, Any, Callable[[], None]]] = []
         self._sequencer_override = sequencer
-        self.updates_applied = 0
 
     # -- roles ---------------------------------------------------------------
 
@@ -68,22 +65,13 @@ class SequentialMCS(MCSProcess):
         else:
             self.network.send(self.name, self.sequencer_name, request)
 
-    def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        done(self._store.get(var, INITIAL_VALUE))
-
-    def local_value(self, var: str) -> Any:
-        return self._store.get(var, INITIAL_VALUE)
-
     def state_key(self) -> tuple:
-        return (
-            tuple(sorted(self._store.items())),
+        return self._replica_key() + (
             self._next_assign,
             self._next_apply,
             tuple(sorted(self._reorder.items())),
             tuple((var, value) for var, value, _ in self._pending_writes),
             callback_names(done for _, _, done in self._pending_writes),
-            self.updates_applied,
-            tuple(self.missed_upcalls),
         )
 
     # -- sequencing -------------------------------------------------------------
@@ -117,12 +105,7 @@ class SequentialMCS(MCSProcess):
 
     def _apply(self, update: SequencedUpdate) -> None:
         own = update.origin == self.name
-
-        def commit() -> None:
-            self._store[update.var] = update.value
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=own)
+        self._apply_with_upcalls(update, own_write=own)
         if own:
             var, value, done = self._pending_writes.pop(0)
             if (var, value) != (update.var, update.value):

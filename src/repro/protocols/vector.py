@@ -21,7 +21,6 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.memory.interface import MCSProcess
-from repro.memory.operations import INITIAL_VALUE
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.holdback import CausalHoldBack
 from repro.protocols.messages import CausalUpdate
@@ -34,9 +33,7 @@ class VectorCausalMCS(MCSProcess):
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
         self._clock = VectorClock()
-        self._store: dict[str, Any] = {}
         self._holdback = CausalHoldBack()
-        self.updates_applied = 0
 
     # -- call handling -----------------------------------------------------
 
@@ -49,50 +46,32 @@ class VectorCausalMCS(MCSProcess):
             sender_index=self.proc_index,
             sender_name=self.name,
         )
-        self._apply_with_upcalls(
-            var, value, lambda: self._store.__setitem__(var, value), own_write=True
-        )
+        self._write_own(var, value)
         done()
         self.network.broadcast(self.name, update)
-
-    def _handle_read(self, var: str, done: Callable[[Any], None]) -> None:
-        done(self._store.get(var, INITIAL_VALUE))
-
-    def local_value(self, var: str) -> Any:
-        return self._store.get(var, INITIAL_VALUE)
 
     @property
     def clock(self) -> VectorClock:
         return self._clock
 
     def state_key(self) -> tuple:
-        return (
-            self._clock,
-            tuple(sorted(self._store.items())),
-            self._holdback.state_key(),
-            self.updates_applied,
-            tuple(self.missed_upcalls),
-        )
+        return self._replica_key() + (self._clock, self._holdback.state_key())
 
     # -- update propagation -------------------------------------------------
 
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._holdback.arrive(payload, self._ready, self._apply)
+        self._holdback.arrive(payload, self._ready, self._apply_with_upcalls)
 
     def _ready(self, update: CausalUpdate) -> bool:
         return update.ts.causally_ready(self._clock, update.sender_index)
 
-    def _apply(self, update: CausalUpdate) -> None:
-        def commit() -> None:
-            self._store[update.var] = update.value
-            # A causally ready update is one write ahead of the clock at
-            # its sender's entry and nowhere else: merging is incrementing.
-            self._clock = self._clock.increment(update.sender_index)
-            self.updates_applied += 1
-
-        self._apply_with_upcalls(update.var, update.value, commit, own_write=False)
+    def _commit(self, update: CausalUpdate) -> None:
+        super()._commit(update)
+        # A causally ready update is one write ahead of the clock at its
+        # sender's entry and nowhere else: merging is incrementing.
+        self._clock = self._clock.increment(update.sender_index)
 
 
 VECTOR_CAUSAL = register(

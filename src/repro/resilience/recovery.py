@@ -39,7 +39,6 @@ from typing import Any, Optional
 from repro.errors import ProtocolError
 from repro.interconnect.is_process import ISProcess, PropagatedPair
 from repro.memory.interface import MCSProcess
-from repro.memory.operations import OpKind
 from repro.memory.recorder import HistoryRecorder
 from repro.resilience.transport import ResilientTransport
 from repro.resilience.wal import ACKED, ISSUED, RECV, SENT, VALUE, WriteAheadLog
@@ -138,51 +137,21 @@ class RecoverableISProcess(ISProcess):
     def receive(self, from_peer: str, pair: PropagatedPair) -> None:
         meta = self._current_recv or (from_peer, -1)
         self._current_recv = None
-        link = self._peers.get(from_peer)
-        if link is None:
-            raise ProtocolError(f"{self.name}: pair from unknown peer {from_peer!r}")
-        link.pairs_received += 1
-        key = (pair.var, pair.value)
-        if key in self._seen_pairs:
-            self.duplicates_dropped += 1
+        duplicate = (pair.var, pair.value) in self._seen_pairs
+        if not duplicate:
+            self._pending_meta.append(meta)  # popped when the pair is issued
+        super().receive(from_peer, pair)
+        if duplicate:
             self.wal.log(ISSUED, peer=meta[0], seq=meta[1])  # retired: nothing to apply
-            return
-        self._seen_pairs.add(key)
-        for other in self._peers.values():
-            if other.peer_name != from_peer:
-                self._send_pair(other, pair)
-        self._write_queue.append(pair)
-        self._pending_meta.append(meta)
-        self._drain_writes()
 
     def _drain_writes(self) -> None:
         if not self.alive or self._writing or not self._write_queue:
             return
-        self._writing = True
-        pair = self._write_queue.popleft()
         peer, seq = self._pending_meta.popleft() if self._pending_meta else ("", -1)
         # Logged in the same event that issues the write: "was this pair
         # applied?" never has an ambiguous answer after a crash.
         self.wal.log(ISSUED, peer=peer, seq=seq)
-        issue_time = self.now
-
-        def on_written() -> None:
-            self.recorder.record(
-                kind=OpKind.WRITE,
-                proc=self.name,
-                var=pair.var,
-                value=pair.value,
-                system=self.mcs.system_name,
-                issue_time=issue_time,
-                response_time=self.now,
-                is_interconnect=True,
-            )
-            self.pairs_applied_in += 1
-            self._writing = False
-            if self._write_queue:
-                self.soon(self._drain_writes)
-
-        self.mcs.issue_write(pair.var, pair.value, on_written)
+        super()._drain_writes()
 
     # -- propagation out: journal the value read -----------------------------
 

@@ -29,8 +29,9 @@ from repro.sim.clock import VectorClock
 from repro.memory.program import Read, Sleep
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.protocols import get as get_protocol
+from repro.protocols import available, get as get_protocol
 from repro.sim.core import Simulator
+from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import (
     ScenarioResult,
     run_until_quiescent,
@@ -126,6 +127,22 @@ class TestStateKey:
             target._stream()
         before = state_fingerprint(result)
         setattr(target, attribute, _bump(getattr(target, attribute)))
+        assert state_fingerprint(result) != before
+
+    @pytest.mark.parametrize("attribute", ["_store", "updates_applied", "missed_upcalls"])
+    @pytest.mark.parametrize("protocol", available())
+    def test_every_protocol_keys_the_base_replica(self, protocol, attribute):
+        # MCSProcess owns these fields; a protocol's state_key reaches
+        # them only through _replica_key().
+        result = build_interconnected(
+            [protocol, "vector-causal"],
+            WorkloadSpec(processes=2, ops_per_process=2, write_ratio=0.5),
+            seed=0,
+        )
+        run_until_quiescent(result.sim, result.systems)
+        mcs = result.systems[0].mcs_processes[0]
+        before = state_fingerprint(result)
+        setattr(mcs, attribute, _bump(getattr(mcs, attribute)))
         assert state_fingerprint(result) != before
 
     def test_first_draw_of_a_never_derived_stream_changes_the_key(self):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError, DeadlockError, ProtocolError
-from repro.memory.interface import AppProcess, MCSProcess, UpcallHandler
+from repro.memory.interface import AppProcess, MCSProcess, ReplicaWrite, UpcallHandler
 from repro.memory.operations import INITIAL_VALUE, OpKind
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
@@ -22,20 +22,13 @@ class LocalOnlyMCS(MCSProcess):
         kwargs.pop("latency", None)
         self._latency = 0.0
         super().__init__(**kwargs)
-        self._store = {}
 
     def _handle_write(self, var, value, done):
-        self._apply_with_upcalls(var, value, lambda: self._store.__setitem__(var, value), True)
+        self._write_own(var, value)
         done()
-
-    def _handle_read(self, var, done):
-        done(self._store.get(var, INITIAL_VALUE))
 
     def _on_message(self, src, payload):
         raise AssertionError("no messages expected")
-
-    def local_value(self, var):
-        return self._store.get(var, INITIAL_VALUE)
 
 
 LOCAL_SPEC = ProtocolSpec(name="local-test", factory=LocalOnlyMCS)
@@ -137,7 +130,7 @@ class TestUpcalls:
                 calls.append(("post", var, mcs.local_value(var)))
 
         mcs.attach_upcall_handler(Handler())
-        mcs._apply_with_upcalls("x", 5, lambda: mcs._store.__setitem__("x", 5), own_write=False)
+        mcs._apply_with_upcalls(ReplicaWrite("x", 5), own_write=False)
         # Condition (c): the pre read sees the old value, the post read the new.
         assert calls == [("pre", "x", INITIAL_VALUE), ("post", "x", 5)]
 
@@ -150,7 +143,7 @@ class TestUpcalls:
                 calls.append(var)
 
         mcs.attach_upcall_handler(Handler())
-        mcs._apply_with_upcalls("x", 5, lambda: None, own_write=True)
+        mcs._apply_with_upcalls(ReplicaWrite("x", 5), own_write=True)
         assert calls == []
 
     def test_pre_update_disabled_by_default(self):
@@ -165,7 +158,7 @@ class TestUpcalls:
                 calls.append("post")
 
         mcs.attach_upcall_handler(Handler())
-        mcs._apply_with_upcalls("x", 1, lambda: None, own_write=False)
+        mcs._apply_with_upcalls(ReplicaWrite("x", 1), own_write=False)
         assert calls == ["post"]
 
     def test_double_attach_rejected(self):
@@ -177,8 +170,8 @@ class TestUpcalls:
     def test_replica_apply_traced(self):
         sim, mcs = self.make_mcs()
         sink = observe(sim, ListSink())
-        mcs._apply_with_upcalls("x", 1, lambda: None, own_write=True)
-        mcs._apply_with_upcalls("y", 2, lambda: None, own_write=False)
+        mcs._apply_with_upcalls(ReplicaWrite("x", 1), own_write=True)
+        mcs._apply_with_upcalls(ReplicaWrite("y", 2), own_write=False)
         assert [
             (event.kind, event.component, event.system, dict(event.args))
             for event in sink.events

@@ -230,10 +230,16 @@ class TestTraceDerivedCounters:
             scenario, seed=0, check_theorem1=False, tracer=Tracer(sink), metrics=registry
         )
         assert hook_families(registry) == naive_recount(sink.events)
-        wals = [result.bridge.isp_a.wal, result.bridge.isp_b.wal]
+        isps = [result.bridge.isp_a, result.bridge.isp_b]
+        wals = [isp.wal for isp in isps]
         assert registry.total("wal_appends_total") == sum(wal.appends for wal in wals) > 0
         for wal in wals:
             assert registry.snapshot()[f'wal_appends_total{{wal="{wal.name}"}}'] == wal.appends
+        # The recoverable IS-process traces its Propagate_in like the base one.
+        received = sum(isp.link_stats(peer)[1] for isp in isps for peer in isp.peer_names)
+        assert registry.total("is_pairs_received_total") == received > 0
+        spans = [event for event in sink.events if event.kind == "is.propagate_in"]
+        assert len(spans) == sum(isp.pairs_applied_in for isp in isps)
 
     @pytest.mark.parametrize("with_tracer", [True, False])
     def test_registry_attached_twice_counts_each_send_once(self, with_tracer):

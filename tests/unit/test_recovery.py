@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.interconnect.is_process import PropagatedPair
-from repro.memory.interface import MCSProcess, UpcallHandler
+from repro.memory.interface import MCSProcess, ReplicaWrite, UpcallHandler
 from repro.memory.recorder import HistoryRecorder
 from repro.obs.instruments import observe
 from repro.obs.tracer import ListSink
@@ -218,7 +218,7 @@ class _ReplicaMCS(MCSProcess):
     """Minimal concrete MCSProcess: apply updates locally, nothing else."""
 
     def _handle_write(self, var, value, done):
-        self._apply_with_upcalls(var, value, lambda: None, own_write=False)
+        self._apply_with_upcalls(ReplicaWrite(var, value), own_write=False)
         done()
 
     def _handle_read(self, var, done):
