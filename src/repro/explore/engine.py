@@ -3,9 +3,11 @@
 The kernel cannot snapshot arbitrary Python closures, so the explorer is
 *stateless* in the model-checking sense: to explore a different branch it
 rebuilds the scenario from its factory and re-executes the run, following
-a recorded decision-trace prefix before diverging (the style of stateless
+a recorded tag-trace prefix before diverging (the style of stateless
 model checkers such as VeriSoft/Coyote). Determinism of the kernel makes
-replay exact, so a prefix fully identifies a subtree.
+replay exact, so a prefix fully identifies a subtree. Traces are
+sequences of scheduling tags (:mod:`repro.explore.policy`): a branch
+prefix, a counterexample and a saved schedule all use that one form.
 
 Two reductions keep the tree tractable:
 
@@ -57,7 +59,7 @@ class _PruneRun(Exception):
 
 @dataclass(frozen=True)
 class _Branch:
-    prefix: tuple[int, ...]
+    prefix: tuple[Optional[str], ...]
     sleep: frozenset[str]
 
 
@@ -66,17 +68,17 @@ class _BranchRecord:
     """A post-prefix decision point, remembered for sibling generation."""
 
     position: int
-    tags: tuple[Optional[str], ...]
     sleep: frozenset[str]
-    explorable: tuple[int, ...]
+    #: Tags of the candidates the DFS may fire here, in candidate order.
+    explorable: tuple[Optional[str], ...]
 
 
 @dataclass
 class Counterexample:
-    """A decision trace whose execution violates the checked property."""
+    """A tag trace whose execution violates the checked property."""
 
     scenario: str
-    trace: list[int]
+    trace: list[Optional[str]]
     patterns: list[str]
     detail: str
     shrunk_from: Optional[int] = None
@@ -147,7 +149,7 @@ def scheduling_aliases(result) -> dict[str, str]:
 class _ExplorerPolicy(TracePolicy):
     def __init__(
         self,
-        prefix: Sequence[int],
+        prefix: Sequence[Optional[str]],
         sleep: frozenset[str],
         *,
         visited: dict[int, list[frozenset[str]]],
@@ -219,29 +221,28 @@ class _ExplorerPolicy(TracePolicy):
                 frozenset(self._sleep)
             )
         if self._use_sleep:
-            explorable = tuple(
+            indices = [
                 index
                 for index, candidate in enumerate(candidates)
                 if candidate.tag is None or candidate.tag not in self._sleep
-            )
-            if not explorable:
+            ]
+            if not indices:
                 raise _PruneRun("sleep")
         else:
-            explorable = tuple(range(len(candidates)))
+            indices = range(len(candidates))
         self.records.append(
             _BranchRecord(
                 position=position,
-                tags=tuple(candidate.tag for candidate in candidates),
                 sleep=frozenset(self._sleep),
-                explorable=explorable,
+                explorable=tuple(candidates[index].tag for index in indices),
             )
         )
-        return explorable[0]
+        return indices[0]
 
 
 def run_with_trace(
     factory: Callable[[], "object"],
-    trace: Sequence[int] = (),
+    trace: Sequence[Optional[str]] = (),
     *,
     max_steps: int = 100_000,
     check_theorem1: bool = False,
@@ -398,15 +399,11 @@ def _dfs(
         for record in policy.records:
             base = tuple(policy.trace[: record.position])
             slept: set[str] = set(record.sleep)
-            for rank, candidate_index in enumerate(record.explorable):
+            for rank, tag in enumerate(record.explorable):
                 if rank > 0:
                     stack.append(
-                        _Branch(
-                            prefix=base + (candidate_index,),
-                            sleep=frozenset(slept),
-                        )
+                        _Branch(prefix=base + (tag,), sleep=frozenset(slept))
                     )
-                tag = record.tags[candidate_index]
                 if tag is not None:
                     slept.add(tag)
         if outcome.runs % 100 == 0:

@@ -1,10 +1,10 @@
 """Multi-core exploration over disjoint subtree work-units.
 
 The stateless design of :mod:`repro.explore.engine` makes the DFS
-embarrassingly parallel: a decision-trace prefix fully identifies a
+embarrassingly parallel: a tag-trace prefix fully identifies a
 subtree, workers rebuild the scenario from its registered factory, and
-no live object ever crosses a process boundary — only prefixes, sleep
-sets and result counts.
+no live object ever crosses a process boundary — only prefixes (tuples
+of scheduling tags, shipped as they are), sleep sets and result counts.
 
 Strategy (deterministic by construction):
 

@@ -1,18 +1,19 @@
 """Scheduler policies used by the explorer.
 
-A *decision trace* is a list of integers: at the i-th decision point of a
-run (a step where the kernel offers more than one enabled event), the
-trace picks the candidate with that index in the kernel's canonical
-candidate order (sorted by scheduling sequence number). Because runs are
-deterministic given their decisions, the same trace against the same
-scenario always reproduces the same execution — that is what makes
-counterexamples replayable artefacts.
+A *decision trace* is a sequence of scheduling tags: at the i-th decision
+point of a run (a step where the kernel offers more than one enabled
+event), the trace names the tag of the event to fire. The kernel offers
+one head per tag group (untagged events form the single ``None`` group),
+so tags are unique among a decision's candidates and a tag sequence names
+a schedule by itself, independent of the order the candidates come in.
+Because runs are deterministic given their decisions, the same trace
+against the same scenario always reproduces the same execution — that is
+what makes counterexamples replayable artefacts.
 
 :class:`TracePolicy` follows a trace prefix and then defaults to the first
-candidate (the kernel's own tie-break), recording each decision as the
-chosen index (``trace``) and the chosen event's tag (``chosen_tags``);
-it is both the replay vehicle and the base class for the exploring policy
-in :mod:`repro.explore.engine`.
+candidate (the kernel's own tie-break), recording the tag of every chosen
+event in ``trace``; it is both the replay vehicle and the base class for
+the exploring policy in :mod:`repro.explore.engine`.
 """
 
 from __future__ import annotations
@@ -51,13 +52,12 @@ def target_of(tag: str, aliases: dict) -> str:
 
 
 class TracePolicy(SchedulerPolicy):
-    """Follow a decision-trace prefix, then the canonical default order."""
+    """Follow a tag-trace prefix, then the canonical default order."""
 
-    def __init__(self, prefix: Sequence[int] = ()) -> None:
+    def __init__(self, prefix: Sequence[Optional[str]] = ()) -> None:
         self.prefix = list(prefix)
-        self.trace: list[int] = []
-        #: The tag of the event chosen at each decision, parallel to trace.
-        self.chosen_tags: list[Optional[str]] = []
+        #: The tag of the event chosen at each decision so far.
+        self.trace: list[Optional[str]] = []
 
     @property
     def decision_count(self) -> int:
@@ -66,17 +66,20 @@ class TracePolicy(SchedulerPolicy):
     def choose(self, candidates: Sequence[EnabledEvent]) -> int:
         position = len(self.trace)
         if position < len(self.prefix):
-            pick = self.prefix[position]
-            if not 0 <= pick < len(candidates):
+            wanted = self.prefix[position]
+            for pick, candidate in enumerate(candidates):
+                if candidate.tag == wanted:
+                    break
+            else:
                 raise ExplorationError(
-                    f"schedule mismatch: decision {position} picks candidate "
-                    f"{pick} but only {len(candidates)} events are enabled — "
-                    "the trace was recorded against a different scenario"
+                    f"schedule mismatch at decision {position}: tag "
+                    f"{wanted!r} is not enabled; the enabled tags are "
+                    f"{[candidate.tag for candidate in candidates]} — the "
+                    "trace was recorded against a different scenario"
                 )
         else:
             pick = self._default_choice(position, candidates)
-        self.trace.append(pick)
-        self.chosen_tags.append(candidates[pick].tag)
+        self.trace.append(candidates[pick].tag)
         return pick
 
     def _default_choice(

@@ -1,20 +1,25 @@
 """Replayable counterexample schedules.
 
 A schedule is the durable form of a counterexample: the scenario name, the
-(minimised) decision trace, and the bad patterns the trace is expected to
+(minimised) tag trace, and the bad patterns the trace is expected to
 reproduce. Because runs are deterministic given their decisions, a
 schedule replays bit-for-bit on any machine — the JSON files under
 ``tests/corpus/`` are regression tests, not documentation.
 
-Format (``repro-schedule/1``)::
+Format (``repro-schedule/2``): ``"trace"`` lists the scheduling tag fired
+at each decision (``null`` for the untagged group)::
 
     {
-      "format": "repro-schedule/1",
-      "scenario": "bridge-noread",
-      "trace": [3, 0, 2],
-      "expected_patterns": ["CyclicCO"],
+      "format": "repro-schedule/2",
+      "scenario": "faulty-fifo",
+      "trace": ["proc:S0/mcs:A", "chan:S0:S0/mcs:A->S0/mcs:B", "proc:S0/mcs:C"],
+      "expected_patterns": ["WriteHBInitRead"],
       "note": "free text, ignored by the replayer"
     }
+
+``repro-schedule/1`` stored candidate indices, which shift meaning
+whenever candidate order changes; such files are rejected and must be
+re-saved with ``repro explore --save``.
 """
 
 from __future__ import annotations
@@ -28,15 +33,15 @@ from repro.checker.report import CheckResult
 from repro.errors import ExplorationError
 from repro.explore.engine import Counterexample, run_with_trace
 
-FORMAT = "repro-schedule/1"
+FORMAT = "repro-schedule/2"
 
 
 @dataclass
 class Schedule:
-    """A named, replayable decision trace."""
+    """A named, replayable tag trace."""
 
     scenario: str
-    trace: list[int]
+    trace: list[Optional[str]]
     expected_patterns: list[str] = field(default_factory=list)
     note: str = ""
 
@@ -76,16 +81,25 @@ def load_schedule(path: Union[str, Path]) -> Schedule:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ExplorationError(f"cannot read schedule {path}: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ExplorationError(f"{path}: malformed schedule: not a JSON object")
     if raw.get("format") != FORMAT:
         raise ExplorationError(
             f"{path}: unknown schedule format {raw.get('format')!r} "
-            f"(expected {FORMAT!r})"
+            f"(expected {FORMAT!r}); re-save the schedule with "
+            "`repro explore --save`"
         )
     try:
-        trace = [int(step) for step in raw["trace"]]
+        trace = raw["trace"]
         scenario = str(raw["scenario"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ExplorationError(f"{path}: malformed schedule: {exc}") from exc
+    if not isinstance(trace, list) or not all(
+        step is None or isinstance(step, str) for step in trace
+    ):
+        raise ExplorationError(
+            f"{path}: malformed schedule: the trace must list tags or null"
+        )
     return Schedule(
         scenario=scenario,
         trace=trace,

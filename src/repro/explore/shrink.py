@@ -1,25 +1,21 @@
-"""Delta-debugging minimisation of failing decision traces.
+"""Delta-debugging minimisation of failing tag traces.
 
 A raw counterexample trace from the explorer records *every* decision of
-the failing run, most of which are incidental. Shrinking reduces it along
-four axes:
+the failing run, most of which are incidental. A trace is a sequence of
+scheduling tags (:mod:`repro.explore.policy`), so deleting a decision
+removes one event from the schedule without changing what any other
+decision names. Shrinking is therefore deletion only, in two passes
+repeated until neither helps:
 
-* trailing default decisions (zeros) are dropped for free — the replay
-  policy falls back to candidate 0 beyond its prefix anyway;
 * contiguous chunks are deleted, ddmin-style, halving the chunk size;
-* individual decisions are lowered toward 0 (the canonical choice);
-* single *events* are dropped from the schedule
-  (:func:`shrink_counterexample` only): the trace is read as the
-  sequence of scheduling tags it picks, one tag is removed, and the rest
-  are picked by tag rather than by index. Deleting an index shifts the
-  meaning of every later one; deleting a tag does not, which is what
-  removes a whole redundant poll loop from a trace.
+* pairs of decisions are deleted: two events that matter only together
+  (say, the request and the response of one redundant poll) survive
+  every single deletion.
 
 Every candidate is validated by actually re-running the scenario: a
 candidate is accepted iff the replay still exhibits the original failure
-(same bad-pattern family). Deleting a decision shifts the meaning of all
-later ones — that is fine; delta debugging relies only on the predicate,
-never on positional semantics of the trace.
+(same bad-pattern family). A candidate whose tag is not enabled where the
+trace wants it does not replay and is rejected like a passing one.
 """
 
 from __future__ import annotations
@@ -28,24 +24,14 @@ from typing import Callable, Optional, Sequence
 
 from repro.errors import ExplorationError, ReproError
 from repro.explore.engine import Counterexample, run_with_trace
-from repro.explore.policy import TracePolicy
-from repro.sim.core import EnabledEvent
-
-
-def _strip(trace: list[int]) -> list[int]:
-    """Drop trailing zeros: they repeat the replay policy's default."""
-    end = len(trace)
-    while end > 0 and trace[end - 1] == 0:
-        end -= 1
-    return trace[:end]
 
 
 def shrink_trace(
-    trace: Sequence[int],
-    failing: Callable[[Sequence[int]], bool],
+    trace: Sequence,
+    failing: Callable[[Sequence], bool],
     *,
     max_attempts: int = 4000,
-) -> list[int]:
+) -> list:
     """Minimise *trace* while ``failing(candidate)`` stays true.
 
     Args:
@@ -56,36 +42,30 @@ def shrink_trace(
             and simply stops improving once the budget runs out.
 
     Returns:
-        the smallest failing trace found (lexicographically smallest among
-        equals, by construction of the lowering pass).
+        the smallest failing subsequence of *trace* found.
     """
+    best = list(trace)
+    if not failing(best):
+        raise ExplorationError("shrink_trace was given a trace that does not fail")
     attempts = 0
 
-    def check(candidate: list[int]) -> bool:
+    def check(candidate: list) -> bool:
         nonlocal attempts
         if attempts >= max_attempts:
             return False
         attempts += 1
         return failing(candidate)
 
-    best = _strip(list(trace))
-    if not check(best):
-        if not failing(list(trace)):
-            raise ExplorationError(
-                "shrink_trace was given a trace that does not fail"
-            )
-        best = list(trace)  # the trailing zeros mattered after all
-
     improved = True
     while improved and attempts < max_attempts:
         improved = False
         # Pass 1: delete contiguous chunks, large to small.
         size = max(len(best) // 2, 1)
-        while size >= 1:
+        while True:
             start = 0
             while start < len(best):
-                candidate = _strip(best[:start] + best[start + size :])
-                if len(candidate) < len(best) and check(candidate):
+                candidate = best[:start] + best[start + size :]
+                if check(candidate):
                     best = candidate
                     improved = True
                 else:
@@ -93,92 +73,19 @@ def shrink_trace(
             if size == 1:
                 break
             size //= 2
-        # Pass 2: delete-and-repair. Removing one decision shifts the
-        # meaning of everything after it, which plain deletion (pass 1)
-        # often cannot absorb; re-choosing the value at the deletion
-        # site frequently can. Values range over the arities seen so
-        # far — candidate lists in these scenarios are small.
-        max_value = max(best, default=0) + 1
-        index = 0
-        while index < len(best):
-            shortened = False
-            for value in range(max_value + 1):
-                candidate = _strip(
-                    best[:index] + [value] + best[index + 2 :]
-                )
-                if len(candidate) < len(best) and check(candidate):
-                    best = candidate
-                    improved = True
-                    shortened = True
-                    break
-            if not shortened:
-                index += 1
-        # Pass 3: lower decisions toward the canonical choice 0.
-        index = 0
-        while index < len(best):
-            original = best[index]
-            lowered = False
-            for lower in range(original):
-                candidate = _strip(
-                    best[:index] + [lower] + best[index + 1 :]
-                )
-                if check(candidate):
-                    best = candidate
-                    improved = True
-                    lowered = True
-                    break
-            if not lowered:
-                index += 1
-            # else: the strip may have shortened the trace; re-scan from
-            # the same index, which now holds a different decision.
+        # Pass 2: delete pairs of decisions; restart on the first success.
+        pairs = (
+            (first, second)
+            for second in range(len(best))
+            for first in range(second)
+        )
+        for first, second in pairs:
+            candidate = best[:first] + best[first + 1 : second] + best[second + 1 :]
+            if check(candidate):
+                best = candidate
+                improved = True
+                break
     return best
-
-
-class _TagPolicy(TracePolicy):
-    """Pick, at each decision, the candidate carrying the next wanted tag;
-    raise :class:`ExplorationError` if it is not enabled."""
-
-    def __init__(self, tags: Sequence[Optional[str]]) -> None:
-        super().__init__()
-        self.wanted = list(tags)
-
-    def _default_choice(
-        self, position: int, candidates: Sequence[EnabledEvent]
-    ) -> int:
-        if position >= len(self.wanted):
-            return 0
-        for index, candidate in enumerate(candidates):
-            if candidate.tag == self.wanted[position]:
-                return index
-        raise ExplorationError(f"tag {self.wanted[position]!r} not enabled")
-
-
-def _replay(factory: Callable[[], "object"], policy: TracePolicy, max_steps: int) -> None:
-    result = factory()
-    result.sim.policy = policy
-    result.sim.run(max_events=max_steps)
-
-
-def _drop_one_event(
-    trace: list[int],
-    failing: Callable[[Sequence[int]], bool],
-    factory: Callable[[], "object"],
-    max_steps: int,
-) -> Optional[list[int]]:
-    """A shorter failing trace that schedules one event fewer, or None."""
-    recorder = TracePolicy(trace)
-    _replay(factory, recorder, max_steps)
-    tags = recorder.chosen_tags[: len(trace)]
-    for index in range(len(tags)):
-        policy = _TagPolicy(tags[:index] + tags[index + 1 :])
-        try:
-            _replay(factory, policy, max_steps)
-        except ReproError:
-            continue
-        candidate = _strip(policy.trace[: len(policy.wanted)])
-        if len(candidate) < len(trace) and failing(candidate):
-            return candidate
-    return None
 
 
 def shrink_counterexample(
@@ -201,7 +108,7 @@ def shrink_counterexample(
         factory = get_scenario(counterexample.scenario).factory
     wanted = set(counterexample.patterns)
 
-    def failing(candidate: Sequence[int]) -> bool:
+    def failing(candidate: Sequence[Optional[str]]) -> bool:
         try:
             _, verdict = run_with_trace(
                 factory,
@@ -220,8 +127,6 @@ def shrink_counterexample(
     trace = shrink_trace(
         counterexample.trace, failing, max_attempts=max_attempts
     )
-    while (shorter := _drop_one_event(trace, failing, factory, max_steps)) is not None:
-        trace = shrink_trace(shorter, failing, max_attempts=max_attempts)
     _, verdict = run_with_trace(
         factory, trace, max_steps=max_steps, check_theorem1=check_theorem1
     )

@@ -85,8 +85,9 @@ class SchedulerPolicy:
     timestamp, keeps only the earliest-scheduled event of each tag group
     (preserving per-component FIFO order), sorts the survivors by seq,
     and — when more than one remains — asks the policy to pick. The
-    candidate list is deterministic for a deterministic run prefix, which
-    is what makes recorded decision traces replayable.
+    survivors carry pairwise distinct tags, and the candidate list is
+    deterministic for a deterministic run prefix, which is what makes
+    recorded tag traces replayable.
     """
 
     def choose(self, candidates: Sequence[EnabledEvent]) -> int:

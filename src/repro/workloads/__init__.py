@@ -1,7 +1,6 @@
 """Workload generation: unique values, random programs, paper scenarios."""
 
 from repro.workloads.apps import log_appender, log_reader, ping_pong, pipeline_stage
-from repro.workloads.fuzz import SweepOutcome, sweep_timings
 from repro.workloads.generator import WorkloadSpec, populate_system, random_program
 from repro.workloads.scenarios import (
     ScenarioResult,
@@ -28,6 +27,4 @@ __all__ = [
     "log_appender",
     "log_reader",
     "pipeline_stage",
-    "sweep_timings",
-    "SweepOutcome",
 ]

@@ -4,7 +4,13 @@ The load-bearing property: installing the reference FifoPolicy (or no
 policy at all — the pre-seam fast path) must not change *anything* about
 a run. The policy seam only adds freedom; the default exercise of that
 freedom is the old (time, seq) heap order, bit for bit.
+
+The second property is what makes a tag sequence a schedule: the tags
+offered at any decision are pairwise distinct, so replaying the tags a
+run chose reproduces that run exactly.
 """
+
+import functools
 
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +18,11 @@ from repro.checker import check_causal
 from repro.explore.policy import TracePolicy, dependent, target_of
 from repro.sim.core import FifoPolicy
 from repro.workloads import WorkloadSpec, build_interconnected
-from repro.workloads.scenarios import run_until_quiescent
+from repro.workloads.scenarios import (
+    run_until_quiescent,
+    small_bridge_scenario,
+    small_fifo_scenario,
+)
 
 
 def _run(policy, seed, processes, ops):
@@ -101,3 +111,44 @@ class TestDependence:
             "proc:S0/mcs:~isp:S0",
             aliases,
         )
+
+
+def _tag_run(factory, policy):
+    result = factory()
+    result.sim.policy = policy
+    result.sim.run(max_events=10_000)
+    assert not result.sim.pending
+    return [
+        (op.proc, op.kind.value, op.var, repr(op.value), op.issue_time, op.response_time)
+        for op in result.recorder.history()
+    ]
+
+
+class TestTagReplay:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        factory=st.sampled_from(
+            [
+                small_fifo_scenario,
+                functools.partial(small_bridge_scenario, use_pre_update=False),
+                functools.partial(small_bridge_scenario, use_pre_update=True),
+            ]
+        ),
+        data=st.data(),
+    )
+    def test_recorded_tags_replay_the_same_run(self, factory, data):
+        offered = []
+
+        class RandomPicks(TracePolicy):
+            def _default_choice(self, position, candidates):
+                offered.append([candidate.tag for candidate in candidates])
+                return data.draw(st.integers(0, len(candidates) - 1))
+
+        drawn = RandomPicks()
+        history = _tag_run(factory, drawn)
+        for tags in offered:
+            assert len(set(tags)) == len(tags), tags
+
+        replay = TracePolicy(drawn.trace)
+        assert _tag_run(factory, replay) == history
+        assert replay.trace == drawn.trace

@@ -309,7 +309,12 @@ class TestRunWithTrace:
         assert verdict.ok  # the default schedule of faulty-fifo is clean
 
     def test_replay_is_deterministic(self):
-        trace = [0, 1, 0, 2]
+        trace = [
+            "proc:S0/mcs:A",
+            "proc:S0/mcs:C",
+            "proc:S0/mcs:B",
+            "chan:S0:S0/mcs:A->S0/mcs:C",
+        ]
         runs = []
         for _ in range(2):
             result, verdict = run_with_trace(small_fifo_scenario, trace)
@@ -322,9 +327,15 @@ class TestRunWithTrace:
             )
         assert runs[0] == runs[1]
 
-    def test_out_of_range_decision_raises(self):
-        with pytest.raises(ExplorationError):
-            run_with_trace(small_fifo_scenario, [99])
+    def test_not_enabled_tag_raises(self):
+        # The message names the decision, the wanted tag and what was
+        # enabled instead, so a stale schedule explains itself.
+        with pytest.raises(ExplorationError) as excinfo:
+            run_with_trace(small_fifo_scenario, ["proc:S0/mcs:A", "proc:nobody"])
+        message = str(excinfo.value)
+        assert "decision 1" in message
+        assert "'proc:nobody'" in message
+        assert "'proc:S0/mcs:B'" in message
 
 
 class TestExploreEngine:
@@ -374,24 +385,38 @@ class TestExploreEngine:
 
 
 class TestTracePolicy:
-    def test_chosen_tags_follow_the_trace(self):
+    def test_trace_is_the_chosen_tags(self):
         class Recording(TracePolicy):
             def __init__(self, prefix):
                 super().__init__(prefix)
                 self.offered = []
+                self.picks = []
 
             def choose(self, candidates):
                 self.offered.append([candidate.tag for candidate in candidates])
-                return super().choose(candidates)
+                self.picks.append(super().choose(candidates))
+                return self.picks[-1]
 
-        policy = Recording((0, 1, 1, 0, 1))
+        prefix = [
+            "proc:S0/mcs:A",
+            "proc:S0/mcs:C",
+            "proc:S0/mcs:A",
+            "proc:S0/mcs:B",
+            "chan:S0:S0/mcs:A->S0/mcs:C",
+        ]
+        policy = Recording(prefix)
         result = small_fifo_scenario()
         result.sim.policy = policy
         result.sim.run()
-        assert len(policy.chosen_tags) == len(policy.trace) == len(policy.offered)
-        assert policy.chosen_tags == [
-            tags[pick] for tags, pick in zip(policy.offered, policy.trace)
+        assert len(policy.trace) == len(policy.offered) > len(prefix)
+        assert policy.trace == [
+            tags[pick] for tags, pick in zip(policy.offered, policy.picks)
         ]
+        assert policy.trace[: len(prefix)] == prefix
+        # Beyond the prefix the policy takes the kernel's tie-break.
+        assert policy.picks[len(prefix) :] == [0] * (
+            len(policy.picks) - len(prefix)
+        )
 
 
 class TestShrink:
@@ -430,9 +455,9 @@ class TestShrink:
 
 
     def test_redundant_poll_is_dropped_as_an_event(self):
-        # B polls x once too early and C polls y once too often: index
-        # deletion cannot remove a whole poll (it shifts every later
-        # index), dropping the poll's events from the schedule can.
+        # B polls x once too early and C polls y once too often. Each
+        # poll is two events that matter only together, which the pair
+        # pass deletes at once.
         _, verdict = run_with_trace(small_fifo_scenario, self.POLLING_TRACE)
         counterexample = Counterexample(
             scenario="faulty-fifo",
@@ -442,16 +467,32 @@ class TestShrink:
         )
         shrunk = shrink_counterexample(counterexample)
         assert "WriteHBInitRead" in shrunk.patterns
-        assert shrunk.decisions <= 10
+        assert shrunk.decisions <= 7
 
-    POLLING_TRACE = (0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2)
+    POLLING_TRACE = (
+        "proc:S0/mcs:A",
+        "proc:S0/mcs:B",
+        "proc:S0/mcs:C",
+        "proc:S0/mcs:A",
+        "chan:S0:S0/mcs:A->S0/mcs:B",
+        "proc:S0/mcs:B",
+        "proc:S0/mcs:C",
+        "proc:S0/mcs:B",
+        "proc:S0/mcs:C",
+        "proc:S0/mcs:B",
+        "proc:S0/mcs:C",
+        "proc:S0/mcs:B",
+        "chan:S0:S0/mcs:B->S0/mcs:C",
+        "proc:S0/mcs:C",
+        "proc:S0/mcs:C",
+    )
 
 
 class TestScheduleRoundTrip:
     def test_json_round_trip(self, tmp_path):
         schedule = Schedule(
             scenario="faulty-fifo",
-            trace=[0, 3, 1],
+            trace=["proc:S0/mcs:A", None, "chan:S0:S0/mcs:A->S0/mcs:B"],
             expected_patterns=["WriteHBInitRead"],
             note="hand-written",
         )
@@ -461,19 +502,39 @@ class TestScheduleRoundTrip:
 
     def test_format_field_is_checked(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps({"format": "nope", "scenario": "x", "trace": []}))
-        with pytest.raises(ExplorationError):
+        for raw in ({"format": "nope", "scenario": "x", "trace": []}, [1, 2]):
+            path.write_text(json.dumps(raw))
+            with pytest.raises(ExplorationError):
+                load_schedule(path)
+
+    def test_index_trace_is_rejected_with_resave_hint(self, tmp_path):
+        path = tmp_path / "old.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "repro-schedule/1",
+                    "scenario": "faulty-fifo",
+                    "trace": [0, 3, 1],
+                    "expected_patterns": ["WriteHBInitRead"],
+                }
+            )
+        )
+        with pytest.raises(
+            ExplorationError, match=r"repro-schedule/2.*`repro explore --save`"
+        ):
             load_schedule(path)
 
     def test_malformed_trace_is_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
-        path.write_text(
-            json.dumps(
-                {"format": "repro-schedule/1", "scenario": "faulty-fifo"}
+        # A missing trace, traces that are no list, and index steps.
+        for fields in ({}, {"trace": 7}, {"trace": "proc:A"}, {"trace": [0, 3, 1]}):
+            path.write_text(
+                json.dumps(
+                    {"format": "repro-schedule/2", "scenario": "faulty-fifo", **fields}
+                )
             )
-        )
-        with pytest.raises(ExplorationError):
-            load_schedule(path)
+            with pytest.raises(ExplorationError):
+                load_schedule(path)
 
     def test_strict_replay_rejects_stale_expectations(self, tmp_path):
         schedule = Schedule(
@@ -493,7 +554,7 @@ class TestScheduleRoundTrip:
     def test_from_counterexample_sorts_patterns(self):
         counterexample = Counterexample(
             scenario="faulty-fifo",
-            trace=[1, 0],
+            trace=["proc:S0/mcs:B", "proc:S0/mcs:A"],
             patterns=["B", "A", "B"],
             detail="",
         )
