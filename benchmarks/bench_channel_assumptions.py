@@ -5,42 +5,11 @@ and the value-uniqueness breakage rate when it duplicates — plus the cost
 and effectiveness of the ``dedup_incoming`` hardening.
 """
 
-from repro.errors import CheckerError
-
-# Reuse the scenario builders from the integration test module: they are
-# the canonical X7 workloads.
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from integration.test_channel_assumptions import (  # noqa: E402
-    TestDuplicatingChannel as _DuplicatingScenarios,
-    TestReorderingChannel as _ReorderingScenarios,
+from repro.experiments import (
+    CHANNEL_SEEDS as SEEDS,
+    duplication_breakage_rate,
+    reordering_violation_rate,
 )
-
-SEEDS = range(12)
-
-
-def reordering_violation_rate():
-    scenario = _ReorderingScenarios().scenario
-    violations = sum(0 if scenario(seed) else 1 for seed in SEEDS)
-    return violations / len(SEEDS)
-
-
-def duplication_breakage_rate(dedup):
-    runner = _DuplicatingScenarios().run_duplicating
-    broken = 0
-    effective = 0
-    for seed in SEEDS:
-        history, bridge = runner(dedup=dedup, seed=seed)
-        if bridge.channel_ab.frames_duplicated == 0:
-            continue
-        effective += 1
-        try:
-            history.for_system("S1").validate()
-        except CheckerError:
-            broken += 1
-    return broken, effective
 
 
 def test_x7_reordering_violates_causality(benchmark):

@@ -6,45 +6,7 @@ while the link is down. Measured: link traffic saved as a function of
 write burstiness, with causality verified on every configuration.
 """
 
-from repro.checker import check_causal
-from repro.interconnect.topology import interconnect
-from repro.memory.program import Sleep, Write
-from repro.memory.recorder import HistoryRecorder
-from repro.memory.system import DSMSystem
-from repro.protocols import get
-from repro.sim.channel import PeriodicAvailability
-from repro.sim.core import Simulator
-from repro.workloads.scenarios import run_until_quiescent
-
-
-def run_burst(coalesce: bool, rewrites: int, variables: int = 2):
-    """One system bursts *rewrites* writes per variable while the link is
-    down 99% of the time; returns (pairs crossing, coalesced, causal)."""
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    s0 = DSMSystem(sim, "S0", get("vector-causal"), recorder=recorder, seed=0)
-    s1 = DSMSystem(sim, "S1", get("vector-causal"), recorder=recorder, seed=1)
-    program = []
-    for var_index in range(variables):
-        for rewrite in range(rewrites):
-            program.append(Write(f"v{var_index}", f"v{var_index}.{rewrite}"))
-            program.append(Sleep(1.0))
-    s0.add_application("burster", program)
-    s1.add_application("probe", [Sleep(1500.0)])
-    connection = interconnect(
-        [s0, s1],
-        delay=1.0,
-        availability=PeriodicAvailability(period=1000.0, up_fraction=0.001),
-        coalesce_queued=coalesce,
-    )
-    run_until_quiescent(sim, [s0, s1])
-    bridge = connection.bridges[0]
-    causal = check_causal(recorder.history().without_interconnect()).ok
-    return (
-        bridge.channel_ab.stats.messages_sent,
-        bridge.isp_a.pairs_coalesced,
-        causal,
-    )
+from repro.experiments import coalescing_burst as run_burst
 
 
 def test_x4_coalescing_saves_link_traffic(benchmark):

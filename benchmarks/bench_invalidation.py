@@ -12,37 +12,17 @@ results for propagation only. Measured here:
 """
 
 from repro.checker import check_causal
-from repro.experiments import response_stats
-from repro.memory.recorder import HistoryRecorder
-from repro.memory.system import DSMSystem
+from repro.experiments import invalidation_traffic
 from repro.obs import TrafficMeter
 from repro.protocols import get
-from repro.sim.core import Simulator
-from repro.workloads import WorkloadSpec, build_interconnected, populate_system
+from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import run_until_quiescent
 
 
 def run_protocol(protocol: str, write_ratio: float, seed: int = 0):
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    system = DSMSystem(sim, "S", get(protocol), recorder=recorder, seed=seed)
-    meter = TrafficMeter().attach(system.network)
-    populate_system(
-        system,
-        WorkloadSpec(processes=5, ops_per_process=6, write_ratio=write_ratio),
-        seed=seed,
-    )
-    run_until_quiescent(sim, [system])
-    history = recorder.history()
-    assert check_causal(history).ok
-    writes = max(sum(1 for op in history if op.is_write), 1)
-    value_messages = meter.by_kind["CausalUpdate"] + meter.by_kind["FetchReply"]
-    return {
-        "value_msgs_per_write": value_messages / writes,
-        "control_msgs_per_write": meter.by_kind["Invalidation"] / writes,
-        "bytes_per_write": meter.total_bytes / writes,
-        "mean_response": response_stats([system]).mean,
-    }
+    row = invalidation_traffic(protocol, write_ratio, seed)
+    assert row["causal"]
+    return row
 
 
 def test_x2_invalidation_moves_fewer_values_when_read_light(benchmark):

@@ -11,39 +11,15 @@ workload:
   on every configuration).
 """
 
-from repro.checker import check_causal
-from repro.experiments import response_stats
-from repro.memory.recorder import HistoryRecorder
-from repro.memory.system import DSMSystem
-from repro.obs import TrafficMeter
-from repro.protocols import get
-from repro.sim.core import Simulator
-from repro.workloads import WorkloadSpec, populate_system
-from repro.workloads.scenarios import run_until_quiescent
+from repro.experiments import partial_replication
 
 PROCESSES = 6
-SPEC = WorkloadSpec(processes=PROCESSES, ops_per_process=6, write_ratio=0.5)
 
 
 def run_partial(replication_factor: int, seed: int = 0):
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    spec = get("partial-causal").with_options(replication_factor=replication_factor)
-    system = DSMSystem(sim, "S", spec, recorder=recorder, seed=seed)
-    meter = TrafficMeter().attach(system.network)
-    populate_system(system, SPEC, seed=seed)
-    run_until_quiescent(sim, [system])
-    history = recorder.history()
-    writes = sum(1 for op in history if op.is_write)
-    assert check_causal(history).ok
-    remote_reads = sum(app.mcs.remote_reads for app in system.app_processes)
-    stats = response_stats([system])
-    return {
-        "value_msgs_per_write": meter.by_kind["PartialUpdate"] / writes,
-        "notice_msgs_per_write": meter.by_kind["WriteNotice"] / writes,
-        "remote_reads": remote_reads,
-        "mean_response": stats.mean,
-    }
+    row = partial_replication(replication_factor, seed)
+    assert row["causal"]
+    return row
 
 
 def test_x1_value_traffic_shrinks_with_factor(benchmark):

@@ -7,49 +7,8 @@ where applicable). Reproduces the textbook trade-off picture the paper's
 weaker ones fail the checker.
 """
 
-from repro.checker import check_causal, check_causal_convergence, check_sequential
-from repro.experiments import response_stats
-from repro.memory.recorder import HistoryRecorder
-from repro.memory.system import DSMSystem
+from repro.experiments import ZOO_PROTOCOLS as PROTOCOLS, run_zoo_member
 from repro.protocols import get
-from repro.sim.core import Simulator
-from repro.workloads import WorkloadSpec, populate_system
-from repro.workloads.scenarios import run_until_quiescent
-
-PROTOCOLS = [
-    "vector-causal",
-    "parametrized-causal",
-    "precise-causal",
-    "delayed-causal",
-    "partial-causal",
-    "invalidation-causal",
-    "aw-sequential",
-    "parametrized-sequential",
-    "lamport-sequential",
-    "hybrid",
-    "parametrized-cache",
-    "fifo-apply",
-]
-
-SPEC = WorkloadSpec(processes=4, ops_per_process=6, write_ratio=0.5)
-
-
-def run_zoo_member(protocol: str, seed: int = 11):
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    system = DSMSystem(sim, "S", get(protocol), recorder=recorder, seed=seed)
-    populate_system(system, SPEC, seed=seed)
-    run_until_quiescent(sim, [system])
-    history = recorder.history()
-    writes = max(sum(1 for op in history if op.is_write), 1)
-    return {
-        "protocol": protocol,
-        "msgs_per_write": system.network.messages_sent / writes,
-        "mean_response": response_stats([system]).mean,
-        "causal": check_causal(history).ok,
-        "ccv": check_causal_convergence(history).ok,
-        "sequential": check_sequential(history).ok if len(history) <= 60 else None,
-    }
 
 
 def test_x3_protocol_zoo_table(benchmark):

@@ -3,7 +3,7 @@
 Cache consistency (Goodman) requires sequential consistency *per
 variable*: for each variable ``x``, the sub-history of operations on ``x``
 has a single legal serialization preserving program order. The
-parametrized protocol's cache mode targets exactly this model.
+``parametrized-cache`` protocol targets exactly this model.
 
 The second half of this module is the checkers' shared *derivation
 cache*: every consistency checker starts from the same derived

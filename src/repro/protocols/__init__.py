@@ -22,7 +22,7 @@ from repro.protocols.partial import (
     PARTIAL_CAUSAL_SINGLE,
     PartialReplicationMCS,
 )
-from repro.protocols.sequential import SEQUENTIAL, SequentialMCS
+from repro.protocols.sequential import SEQUENTIAL, CacheMCS, SequentialMCS
 from repro.protocols.vector import VECTOR_CAUSAL, VectorCausalMCS
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "VectorCausalMCS",
     "VECTOR_CAUSAL",
     "SequentialMCS",
+    "CacheMCS",
     "SEQUENTIAL",
     "ParametrizedMCS",
     "PARAMETRIZED_CAUSAL",

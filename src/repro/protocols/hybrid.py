@@ -35,9 +35,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.memory.interface import MCSProcess, callback_names
+from repro.memory.interface import MCSProcess
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import CausalUpdate
+from repro.protocols.sequencer import Sequencer
 from repro.protocols.vector import VectorCausalMCS
 from repro.sim.clock import VectorClock
 
@@ -74,16 +75,8 @@ class HybridMCS(VectorCausalMCS):
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._strong_buffer: dict[int, StrongUpdate] = {}
-        self._next_strong = 0
-        self._assign_strong = 0  # used by the sequencer only
-        self._pending_strong_acks: list[Callable[[], None]] = []
+        self._sequencer = Sequencer(self.name)
         self.strong_apply_log: list[tuple[str, Any]] = []
-
-    # -- roles -----------------------------------------------------------
-
-    def _sequencer(self) -> str:
-        return min(self.network.node_ids)
 
     # -- call handling ------------------------------------------------------
 
@@ -102,35 +95,22 @@ class HybridMCS(VectorCausalMCS):
             var=var, value=value, ts=self._clock,
             sender_index=self.proc_index, origin=self.name,
         )
-        self._pending_strong_acks.append(done)
-        if self._sequencer() == self.name:
+        self._sequencer.wait(var, value, done)
+        sequencer = min(self.network.node_ids)
+        if sequencer == self.name:
             self._sequence(request)
         else:
-            self.network.send(self.name, self._sequencer(), request)
+            self.network.send(self.name, sequencer, request)
 
     def state_key(self) -> tuple:
-        return super().state_key() + (
-            tuple(sorted(self._strong_buffer.items())),
-            self._next_strong,
-            self._assign_strong,
-            callback_names(self._pending_strong_acks),
-            tuple(self.strong_apply_log),
-        )
+        return super().state_key() + self._sequencer.state_key() + (tuple(self.strong_apply_log),)
 
     # -- sequencing ------------------------------------------------------------
 
     def _sequence(self, request: StrongRequest) -> None:
-        update = StrongUpdate(
-            seqno=self._assign_strong,
-            var=request.var,
-            value=request.value,
-            ts=request.ts,
-            sender_index=request.sender_index,
-            origin=request.origin,
-        )
-        self._assign_strong += 1
+        update = StrongUpdate(seqno=self._sequencer.assign(None), **vars(request))
         self.network.broadcast(self.name, update)
-        self._strong_buffer[update.seqno] = update
+        self._sequencer.hold(None, update)
         self._drain()
 
     # -- propagation ---------------------------------------------------------------
@@ -139,7 +119,7 @@ class HybridMCS(VectorCausalMCS):
         if isinstance(payload, StrongRequest):
             self._sequence(payload)
         elif isinstance(payload, StrongUpdate):
-            self._strong_buffer[payload.seqno] = payload
+            self._sequencer.hold(None, payload)
             self._drain()
         elif isinstance(payload, CausalUpdate):
             # A weak update may be what the next strong write waits for,
@@ -151,25 +131,16 @@ class HybridMCS(VectorCausalMCS):
 
     def _drain(self) -> None:
         # Non-short-circuit ``|``: every round runs one weak pass and
-        # then one strong step.
+        # then the strong writes that are next in order and ready.
         apply = self._apply_with_upcalls
-        while self._holdback.release(self._ready, apply) | self._release_strong():
+        while self._holdback.release(self._ready, apply) | self._sequencer.release(
+            None, self._strong_ready, apply
+        ):
             pass
 
-    def _release_strong(self) -> bool:
-        """Apply the next strong write if it is here and causally ready."""
-        strong = self._strong_buffer.get(self._next_strong)
-        if strong is None:
-            return False
-        own = strong.origin == self.name
-        if not own and not self._ready(strong):
-            return False
-        del self._strong_buffer[self._next_strong]
-        self._next_strong += 1
-        self._apply_with_upcalls(strong, own_write=own)
-        if own:
-            self._pending_strong_acks.pop(0)()
-        return True
+    def _strong_ready(self, strong: StrongUpdate) -> bool:
+        # A writer's own strong write is already in its clock.
+        return strong.origin == self.name or self._ready(strong)
 
     def _commit(self, update: CausalUpdate | StrongUpdate) -> None:
         if isinstance(update, StrongUpdate):

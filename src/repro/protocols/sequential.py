@@ -8,88 +8,74 @@ in the total order; reads return the local replica immediately.
 
 The total order here comes from a sequencer — the MCS-process with the
 lexicographically smallest node id acts as sequencer, assigning a global
-sequence number to each write and broadcasting it. FIFO channels then
-deliver updates in sequence order; a small reorder buffer covers the
-general case.
+sequence number to each write and broadcasting it; the shared
+:class:`~repro.protocols.sequencer.Sequencer` applies them in order.
+:class:`CacheMCS` orders each variable's writes at its own owner instead:
+cache consistency, which is *not* causal (see :mod:`.parametrized`).
 
 Sequential consistency implies causal consistency, so per §1.1 of the
 paper a sequential system can be interconnected with a causal one and the
 result is causal (though usually no longer sequential) — experiment E10.
-The protocol satisfies Causal Updating (Property 1): the sequencer order
-is causal-order-consistent, and replicas apply in sequencer order.
+The sequential protocol satisfies Causal Updating (Property 1): the
+sequencer order is causal-order-consistent, and replicas apply in it.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import Any, Callable, Optional
 
 from repro.errors import ProtocolError
-from repro.memory.interface import MCSProcess, callback_names
+from repro.memory.interface import MCSProcess
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import SequencedUpdate, WriteRequest
+from repro.protocols.sequencer import Sequencer
 
 
 class SequentialMCS(MCSProcess):
     """One MCS-process of the sequencer-based sequential protocol."""
 
-    def __init__(self, sequencer: Optional[str] = None, **kwargs: Any) -> None:
+    def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._next_assign = 0  # used only when this node is the sequencer
-        self._next_apply = 0
-        self._reorder: dict[int, SequencedUpdate] = {}
-        self._pending_writes: list[tuple[str, Any, Callable[[], None]]] = []
-        self._sequencer_override = sequencer
+        self._sequencer = Sequencer(self.name)
 
     # -- roles ---------------------------------------------------------------
 
-    @property
-    def sequencer_name(self) -> str:
-        """The node acting as sequencer (stable once the system is built)."""
-        if self._sequencer_override is not None:
-            return self._sequencer_override
+    def _sequencer_of(self, var: str) -> str:
+        """The node that orders the writes to *var*: the smallest node id."""
         return min(self.network.node_ids)
 
-    @property
-    def is_sequencer(self) -> bool:
-        return self.name == self.sequencer_name
+    def _stream_of(self, var: str) -> Optional[str]:
+        """The order the writes to *var* belong to: one for every variable."""
+        return None
 
     # -- call handling ---------------------------------------------------------
 
     def _handle_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
         # The response is deferred until our own write returns in the
         # total order (slow writes, fast reads).
-        self._pending_writes.append((var, value, done))
+        self._sequencer.wait(var, value, done)
         request = WriteRequest(var=var, value=value, origin=self.name)
-        if self.is_sequencer:
+        sequencer = self._sequencer_of(var)
+        if sequencer == self.name:
             self._sequence(request)
         else:
-            self.network.send(self.name, self.sequencer_name, request)
+            self.network.send(self.name, sequencer, request)
 
     def state_key(self) -> tuple:
-        return self._replica_key() + (
-            self._next_assign,
-            self._next_apply,
-            tuple(sorted(self._reorder.items())),
-            tuple((var, value) for var, value, _ in self._pending_writes),
-            callback_names(done for _, _, done in self._pending_writes),
-        )
+        return self._replica_key() + self._sequencer.state_key()
 
     # -- sequencing -------------------------------------------------------------
 
     def _sequence(self, request: WriteRequest) -> None:
-        update = SequencedUpdate(
-            seqno=self._next_assign,
-            var=request.var,
-            value=request.value,
-            origin=request.origin,
-        )
-        self._next_assign += 1
+        stream = self._stream_of(request.var)
+        update = SequencedUpdate(seqno=self._sequencer.assign(stream), **vars(request))
         self.network.broadcast(self.name, update)
         self._deliver(update)  # loopback: the sequencer applies locally
 
     def _on_message(self, src: str, payload: Any) -> None:
         if isinstance(payload, WriteRequest):
-            if not self.is_sequencer:
+            if self._sequencer_of(payload.var) != self.name:
                 raise ProtocolError(f"{self.name} received a WriteRequest but is not sequencer")
             self._sequence(payload)
         elif isinstance(payload, SequencedUpdate):
@@ -98,22 +84,24 @@ class SequentialMCS(MCSProcess):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
 
     def _deliver(self, update: SequencedUpdate) -> None:
-        self._reorder[update.seqno] = update
-        while self._next_apply in self._reorder:
-            self._apply(self._reorder.pop(self._next_apply))
-            self._next_apply += 1
+        stream = self._stream_of(update.var)
+        self._sequencer.hold(stream, update)
+        self._sequencer.release(stream, lambda _: True, self._apply_with_upcalls)
 
-    def _apply(self, update: SequencedUpdate) -> None:
-        own = update.origin == self.name
-        self._apply_with_upcalls(update, own_write=own)
-        if own:
-            var, value, done = self._pending_writes.pop(0)
-            if (var, value) != (update.var, update.value):
-                raise ProtocolError(
-                    f"{self.name}: writes acknowledged out of order "
-                    f"({var!r}={value!r} vs {update.var!r}={update.value!r})"
-                )
-            done()
+
+class CacheMCS(SequentialMCS):
+    """One MCS-process of the cache protocol: per-variable owners and streams.
+
+    Writers block here too: the replica updates only in owner order, so an
+    early response would let a writer read back the value it overwrote.
+    """
+
+    def _sequencer_of(self, var: str) -> str:
+        nodes = sorted(self.network.node_ids)
+        return nodes[zlib.crc32(var.encode("utf-8")) % len(nodes)]
+
+    def _stream_of(self, var: str) -> Optional[str]:
+        return var
 
 
 SEQUENTIAL = register(
@@ -125,4 +113,4 @@ SEQUENTIAL = register(
     )
 )
 
-__all__ = ["SequentialMCS", "SEQUENTIAL"]
+__all__ = ["SequentialMCS", "CacheMCS", "SEQUENTIAL"]

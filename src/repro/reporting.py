@@ -17,28 +17,12 @@ from repro.analysis import (
     interconnected_messages_per_write,
     star_worst_latency,
 )
+from repro import experiments
 from repro.checker import check_causal
-from repro.experiments import (
-    LATENCY_D as D,
-    LATENCY_L as L,
-    crossings_per_write_bridged as run_bridged,
-    crossings_per_write_flat as run_flat_split,
-    dialup_run as run_dialup,
-    latency_flat as run_flat_latency,
-    latency_tree as run_tree,
-    messages_per_write_flat as run_flat,
-    messages_per_write_interconnected as run_interconnected,
-    response_stats,
-    response_time as measure_response,
-    sequential_bridge_dekker as run_dekker,
-    sequential_bridge_random as run_random_bridge,
-)
 from repro.workloads import WorkloadSpec, build_interconnected
-from repro.workloads.scenarios import (
-    lemma1_scenario,
-    run_until_quiescent,
-    section3_counterexample,
-)
+from repro.workloads.scenarios import run_until_quiescent
+
+L, D = experiments.LATENCY_L, experiments.LATENCY_D
 
 
 def md_table(rows: list[Comparison]) -> str:
@@ -55,7 +39,9 @@ def md_table(rows: list[Comparison]) -> str:
 
 def experiment_e1() -> str:
     rows = [
-        Comparison(f"flat, n={n}", flat_messages_per_write(n), run_flat(n))
+        Comparison(
+            f"flat, n={n}", flat_messages_per_write(n), experiments.messages_per_write_flat(n)
+        )
         for n in (2, 4, 8, 16)
     ]
     return md_table(rows)
@@ -63,24 +49,16 @@ def experiment_e1() -> str:
 
 def experiment_e2() -> str:
     rows = []
-    for m in (2, 3, 4, 5):
-        measured, n = run_interconnected(m, True)
-        rows.append(
-            Comparison(
-                f"m={m} systems, shared IS (n={n})",
-                interconnected_messages_per_write(n, m, shared=True),
-                measured,
+    for shared, label in ((True, "shared"), (False, "per-edge")):
+        for m in (2, 3, 4, 5):
+            measured, n = experiments.messages_per_write_interconnected(m, shared)
+            rows.append(
+                Comparison(
+                    f"m={m} systems, {label} IS (n={n})",
+                    interconnected_messages_per_write(n, m, shared=shared),
+                    measured,
+                )
             )
-        )
-    for m in (2, 3, 4, 5):
-        measured, n = run_interconnected(m, False)
-        rows.append(
-            Comparison(
-                f"m={m} systems, per-edge IS (n={n})",
-                interconnected_messages_per_write(n, m, shared=False),
-                measured,
-            )
-        )
     return md_table(rows)
 
 
@@ -91,34 +69,34 @@ def experiment_e3() -> str:
             Comparison(
                 f"flat split {per_side}+{per_side}",
                 bottleneck_crossings_flat(per_side),
-                run_flat_split(per_side),
+                experiments.crossings_per_write_flat(per_side),
             )
         )
         rows.append(
             Comparison(
                 f"bridged {per_side}+{per_side}",
                 bottleneck_crossings_interconnected(),
-                run_bridged(per_side),
+                experiments.crossings_per_write_bridged(per_side),
             )
         )
     return md_table(rows)
 
 
 def experiment_e4() -> str:
-    rows = [Comparison("flat system", flat_latency(L), run_flat_latency())]
+    rows = [Comparison("flat system", flat_latency(L), experiments.latency_flat())]
     for m in (3, 4, 5):
         rows.append(
             Comparison(
                 f"star m={m}, per-edge IS (paper: 3l+2d)",
                 star_worst_latency(L, D, m),
-                run_tree(m, "star", False),
+                experiments.latency_tree(m, "star", False),
             )
         )
     rows.append(
         Comparison(
             "star m=4, shared IS (refined: 2l+2d)",
             2 * L + 2 * D,
-            run_tree(4, "star", True),
+            experiments.latency_tree(4, "star", True),
         )
     )
     for m in (3, 5):
@@ -126,17 +104,17 @@ def experiment_e4() -> str:
             Comparison(
                 f"chain m={m}, per-edge IS (m*l+(m-1)*d)",
                 chain_worst_latency(L, D, m),
-                run_tree(m, "chain", False),
+                experiments.latency_tree(m, "chain", False),
             )
         )
     return md_table(rows)
 
 
 def experiment_e5() -> str:
-    alone = measure_response(["vector-causal"])
-    bridged = measure_response(["vector-causal", "vector-causal"])
-    seq_alone = measure_response(["aw-sequential"])
-    seq_bridged = measure_response(["aw-sequential", "vector-causal"])
+    alone = experiments.response_time(["vector-causal"])
+    bridged = experiments.response_time(["vector-causal", "vector-causal"])
+    seq_alone = experiments.response_time(["aw-sequential"])
+    seq_bridged = experiments.response_time(["aw-sequential", "vector-causal"])
     rows = [
         Comparison("vector protocol mean (alone -> bridged)", alone.mean, bridged.mean),
         Comparison("vector protocol max (alone -> bridged)", alone.maximum, bridged.maximum),
@@ -169,12 +147,7 @@ def experiment_e6_e7() -> str:
 def experiment_e8() -> str:
     lines = ["| IS-protocol variant | violation rate (10 seeds) |", "|---|---:|"]
     for read_before_send, label in ((True, "with read step (paper)"), (False, "read step ablated")):
-        violations = 0
-        for seed in range(10):
-            result = section3_counterexample(read_before_send=read_before_send, seed=seed)
-            run_until_quiescent(result.sim, result.systems)
-            if not check_causal(result.global_history).ok:
-                violations += 1
+        violations = round(experiments.section3_violation_rate(read_before_send, range(10)) * 10)
         lines.append(f"| {label} | {violations}/10 |")
     return "\n".join(lines)
 
@@ -185,20 +158,16 @@ def experiment_e9() -> str:
         (False, "IS-protocol 1 misused on non-causal-updating MCS"),
         (True, "IS-protocol 2 (pre-update reads)"),
     ):
-        violations = 0
-        for lag_seed in range(20):
-            result = lemma1_scenario(use_pre_update=use_pre_update, lag_seed=lag_seed)
-            run_until_quiescent(result.sim, result.systems)
-            if not check_causal(result.global_history).ok:
-                violations += 1
+        violations = round(experiments.lemma1_violation_rate(use_pre_update, range(20)) * 20)
         lines.append(f"| {label} | {violations}/20 |")
     return "\n".join(lines)
 
 
 def experiment_e10() -> str:
-    causal_ok = sum(1 for seed in range(8) if run_random_bridge(seed)[0])
-    still_sequential = sum(1 for seed in range(8) if run_random_bridge(seed)[1])
-    dekker_causal, dekker_sequential = run_dekker()
+    verdicts = [experiments.sequential_bridge_random(seed) for seed in range(8)]
+    causal_ok = sum(causal for causal, _ in verdicts)
+    still_sequential = sum(sequential for _, sequential in verdicts)
+    dekker_causal, dekker_sequential = experiments.sequential_bridge_dekker()
     lines = [
         "| property | result |",
         "|---|---|",
@@ -216,7 +185,7 @@ def experiment_e11() -> str:
         "|---:|---:|---:|---|",
     ]
     for up_fraction in (1.0, 0.5, 0.1, 0.02):
-        _, queue_depth, delay, causal = run_dialup(200.0, up_fraction)
+        _, queue_depth, delay, causal = experiments.dialup_run(200.0, up_fraction)
         lines.append(
             f"| {up_fraction:.0%} | {queue_depth} | {delay:.1f} | {'yes' if causal else 'NO'} |"
         )
@@ -224,86 +193,40 @@ def experiment_e11() -> str:
 
 
 def experiment_x1() -> str:
-    from repro.memory.recorder import HistoryRecorder
-    from repro.memory.system import DSMSystem
-    from repro.obs import TrafficMeter
-    from repro.protocols import get
-    from repro.sim.core import Simulator
-    from repro.workloads import populate_system
-
     lines = [
         "| replication factor | value msgs/write | notices/write | remote reads | mean response |",
         "|---:|---:|---:|---:|---:|",
     ]
     for factor in (1, 2, 4, 6):
-        sim = Simulator()
-        recorder = HistoryRecorder()
-        spec = get("partial-causal").with_options(replication_factor=factor)
-        system = DSMSystem(sim, "S", spec, recorder=recorder, seed=0)
-        meter = TrafficMeter().attach(system.network)
-        populate_system(
-            system, WorkloadSpec(processes=6, ops_per_process=6, write_ratio=0.5), seed=0
-        )
-        run_until_quiescent(sim, [system])
-        history = recorder.history()
-        assert check_causal(history).ok
-        writes = sum(1 for op in history if op.is_write)
-        remote = sum(app.mcs.remote_reads for app in system.app_processes)
+        row = experiments.partial_replication(factor)
+        assert row["causal"]
         lines.append(
-            f"| {factor} | {meter.by_kind['PartialUpdate'] / writes:.2f} "
-            f"| {meter.by_kind['WriteNotice'] / writes:.2f} | {remote} "
-            f"| {response_stats([system]).mean:.3f} |"
+            f"| {factor} | {row['value_msgs_per_write']:.2f} "
+            f"| {row['notice_msgs_per_write']:.2f} | {row['remote_reads']} "
+            f"| {row['mean_response']:.3f} |"
         )
     return "\n".join(lines)
 
 
 def experiment_x2() -> str:
-    from repro.memory.recorder import HistoryRecorder
-    from repro.memory.system import DSMSystem
-    from repro.obs import TrafficMeter
-    from repro.protocols import get
-    from repro.sim.core import Simulator
-    from repro.workloads import populate_system
-
     lines = [
         "| protocol | workload | value msgs/write | mean response | causal? |",
         "|---|---|---:|---:|---|",
     ]
     for protocol in ("vector-causal", "invalidation-causal"):
         for write_ratio, label in ((0.8, "write-heavy"), (0.3, "read-heavy")):
-            sim = Simulator()
-            recorder = HistoryRecorder()
-            system = DSMSystem(sim, "S", get(protocol), recorder=recorder, seed=0)
-            meter = TrafficMeter().attach(system.network)
-            populate_system(
-                system,
-                WorkloadSpec(processes=5, ops_per_process=6, write_ratio=write_ratio),
-                seed=0,
-            )
-            run_until_quiescent(sim, [system])
-            history = recorder.history()
-            causal = check_causal(history).ok
-            writes = max(sum(1 for op in history if op.is_write), 1)
-            values = meter.by_kind["CausalUpdate"] + meter.by_kind["FetchReply"]
+            row = experiments.invalidation_traffic(protocol, write_ratio)
             lines.append(
-                f"| {protocol} | {label} | {values / writes:.2f} "
-                f"| {response_stats([system]).mean:.3f} | {'yes' if causal else 'NO'} |"
+                f"| {protocol} | {label} | {row['value_msgs_per_write']:.2f} "
+                f"| {row['mean_response']:.3f} | {'yes' if row['causal'] else 'NO'} |"
             )
     return "\n".join(lines)
 
 
 def experiment_x7() -> str:
-    import importlib
-    import sys as _sys
-
-    _sys.path.insert(0, "benchmarks")
-    try:
-        channels = importlib.import_module("bench_channel_assumptions")
-    finally:
-        _sys.path.pop(0)
-    reorder_rate = channels.reordering_violation_rate()
-    naive_broken, naive_runs = channels.duplication_breakage_rate(False)
-    hard_broken, hard_runs = channels.duplication_breakage_rate(True)
+    reorder_rate = experiments.reordering_violation_rate()
+    naive_broken, naive_runs = experiments.duplication_breakage_rate(False)
+    hard_broken, hard_runs = experiments.duplication_breakage_rate(True)
     lines = [
         "| channel assumption broken | outcome |",
         "|---|---|",
@@ -315,40 +238,24 @@ def experiment_x7() -> str:
 
 
 def experiment_x4() -> str:
-    import importlib
-    import sys as _sys
-
-    _sys.path.insert(0, "benchmarks")
-    try:
-        coalescing = importlib.import_module("bench_coalescing")
-    finally:
-        _sys.path.pop(0)
     lines = [
         "| rewrites per variable | pairs crossing (plain) | pairs crossing (coalesced) |",
         "|---:|---:|---:|",
     ]
     for rewrites in (2, 4, 8, 16):
-        plain = coalescing.run_burst(False, rewrites)[0]
-        merged = coalescing.run_burst(True, rewrites)[0]
+        plain = experiments.coalescing_burst(False, rewrites)[0]
+        merged = experiments.coalescing_burst(True, rewrites)[0]
         lines.append(f"| {rewrites} | {plain} | {merged} |")
     return "\n".join(lines)
 
 
 def experiment_x3() -> str:
-    import importlib
-    import sys as _sys
-
-    _sys.path.insert(0, "benchmarks")
-    try:
-        zoo = importlib.import_module("bench_protocol_zoo")
-    finally:
-        _sys.path.pop(0)
     lines = [
         "| protocol | msgs/write | mean response | causal | CCv | sequential |",
         "|---|---:|---:|---|---|---|",
     ]
-    for protocol in zoo.PROTOCOLS:
-        row = zoo.run_zoo_member(protocol)
+    for protocol in experiments.ZOO_PROTOCOLS:
+        row = experiments.run_zoo_member(protocol)
         seq = "-" if row["sequential"] is None else ("yes" if row["sequential"] else "no")
         lines.append(
             f"| {row['protocol']} | {row['msgs_per_write']:.2f} "

@@ -157,11 +157,7 @@ def section3_counterexample(read_before_send: bool, seed: int = 0) -> ScenarioRe
     writer = s0.add_application(
         "S0/writer", [Sleep(1.0), Write("x", "v")], start_delay=0.0
     )
-    reader_program: list[Command] = []
-    for _ in range(18):
-        reader_program.append(Read("x"))
-        reader_program.append(Sleep(3.0))
-    reader = s0.add_application("S0/reader", reader_program, start_delay=5.0)
+    reader = s0.add_application("S0/reader", [Read("x"), Sleep(3.0)] * 18, start_delay=5.0)
     # The writer's updates reach the distant reader very late.
     s0.network.set_delay(writer.mcs.name, reader.mcs.name, 40.0)
 
@@ -196,16 +192,10 @@ def lemma1_scenario(use_pre_update: bool, lag_seed: int = 0, seed: int = 0) -> S
         "S0/writerB",
         poll_until("x", "v", then=[Write("y", "u")], poll_interval=0.5),
     )
-
-    def observer():
-        for _ in range(120):
-            seen_y = yield Read("y")
-            if seen_y == "u":
-                yield Read("x")
-                return
-            yield Sleep(0.5)
-
-    s1.add_application("S1/observer", observer())
+    s1.add_application(
+        "S1/observer",
+        poll_until("y", "u", then=[Read("x")], poll_interval=0.5, max_polls=120),
+    )
     connection = interconnect(
         [s0, s1],
         topology="chain",
@@ -231,16 +221,9 @@ def fifo_causality_violation(seed: int = 0) -> ScenarioResult:
     )
     writer = system.add_application("A", [Sleep(1.0), Write("x", "1")])
     system.add_application("B", poll_until("x", "1", then=[Write("y", "2")], poll_interval=0.5))
-
-    def observer() -> Iterator[Command]:
-        for _ in range(100):
-            seen = yield Read("y")
-            if seen == "2":
-                yield Read("x")
-                return
-            yield Sleep(0.5)
-
-    observer_app = system.add_application("C", observer())
+    observer_app = system.add_application(
+        "C", poll_until("y", "2", then=[Read("x")], poll_interval=0.5, max_polls=100)
+    )
     system.network.set_delay(writer.mcs.name, observer_app.mcs.name, 50.0)
     return ScenarioResult(sim=sim, systems=[system], interconnection=None, recorder=recorder)
 
@@ -258,11 +241,7 @@ def scrambled_pram_violation(lag_seed: int = 2, seed: int = 0) -> ScenarioResult
     spec = protocol_base.get("scrambled-apply").with_options(max_lag=8.0, lag_seed=lag_seed)
     system = DSMSystem(sim, "S0", spec, recorder=recorder, seed=seed, default_delay=1.0)
     system.add_application("A", [Sleep(1.0), Write("x", "1"), Write("x", "2")])
-    program: list[Command] = []
-    for _ in range(12):
-        program.append(Read("x"))
-        program.append(Sleep(1.0))
-    system.add_application("C", program)
+    system.add_application("C", [Read("x"), Sleep(1.0)] * 12)
     return ScenarioResult(sim=sim, systems=[system], interconnection=None, recorder=recorder)
 
 
@@ -384,16 +363,10 @@ def small_fifo_scenario(seed: int = 0, max_polls: int = 6) -> ScenarioResult:
             "x", "1", then=[Write("y", "2")], poll_interval=0.0, max_polls=max_polls
         ),
     )
-
-    def observer() -> Iterator[Command]:
-        for _ in range(max_polls):
-            seen = yield Read("y")
-            if seen == "2":
-                yield Read("x")
-                return
-            yield Sleep(0.0)
-
-    system.add_application("C", observer())
+    system.add_application(
+        "C",
+        poll_until("y", "2", then=[Read("x")], poll_interval=0.0, max_polls=max_polls),
+    )
     return ScenarioResult(sim=sim, systems=[system], interconnection=None, recorder=recorder)
 
 

@@ -43,7 +43,7 @@ def build_cache_race(bridged=False):
     # Find two variables with distinct (non-writer, non-observer,
     # non-IS) owners.
     candidates = [f"v{index}" for index in range(40)]
-    owners = {var: writer.mcs._owner_of(var) for var in candidates}
+    owners = {var: writer.mcs._sequencer_of(var) for var in candidates}
     excluded = {observer.mcs.name, writer.mcs.name}
     var1 = next(
         var for var in candidates

@@ -1,16 +1,11 @@
 """Unit tests for the parametrized (causal / sequential / cache) protocol."""
 
-import pytest
-
 from repro.checker import check_cache, check_causal, check_sequential
-from repro.errors import ConfigurationError
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import get
-from repro.protocols.parametrized import ParametrizedMCS
 from repro.sim.core import Simulator
-from repro.sim.network import Network
 from repro.workloads import WorkloadSpec, populate_system
 from repro.workloads.scenarios import run_until_quiescent
 
@@ -29,19 +24,6 @@ def run_workload(protocol_name, seed=0, spec=None):
 
 
 class TestModeSelection:
-    def test_invalid_mode_rejected(self):
-        sim = Simulator()
-        network = Network(sim)
-        with pytest.raises(ConfigurationError):
-            ParametrizedMCS(
-                mode="bogus",
-                sim=sim,
-                name="m",
-                network=network,
-                proc_index=0,
-                system_name="S",
-            )
-
     def test_registered_specs_have_right_metadata(self):
         assert get("parametrized-causal").causal_updating
         assert get("parametrized-causal").consistency == "causal"
@@ -109,8 +91,8 @@ class TestCacheMode:
         a = system.add_application("A", [])
         b = system.add_application("B", [])
         sim.run()
-        assert a.mcs._owner_of("x") == b.mcs._owner_of("x")
-        assert a.mcs._owner_of("x") in system.network.node_ids
+        assert a.mcs._sequencer_of("x") == b.mcs._sequencer_of("x")
+        assert a.mcs._sequencer_of("x") in system.network.node_ids
 
     def test_same_var_writes_converge(self):
         sim = Simulator()

@@ -10,11 +10,11 @@ from repro.protocols import get
 from repro.sim.core import Simulator
 
 
-def make_system(delay=1.0, seed=0):
+def make_system(delay=1.0, seed=0, protocol="aw-sequential"):
     sim = Simulator()
     recorder = HistoryRecorder()
     system = DSMSystem(
-        sim, "S", get("aw-sequential"), recorder=recorder, default_delay=delay, seed=seed
+        sim, "S", get(protocol), recorder=recorder, default_delay=delay, seed=seed
     )
     return sim, recorder, system
 
@@ -42,14 +42,18 @@ class TestWritesBlock:
         a = system.add_application("alice", [])
         b = system.add_application("bob", [])
         sim.run()
-        assert a.mcs.sequencer_name == min(system.network.node_ids)
-        assert a.mcs.sequencer_name == b.mcs.sequencer_name
+        assert a.mcs._sequencer_of("x") == min(system.network.node_ids)
+        assert a.mcs._sequencer_of("x") == b.mcs._sequencer_of("y")
 
     def test_acknowledgement_order_enforced(self):
-        sim, _, system = make_system()
-        system.add_application("A", [Write("x", 1), Write("y", 2)])
-        system.add_application("B", [])
-        sim.run()  # ProtocolError would surface if acks came out of order
+        # One global stream, and one stream per variable at its owner.
+        for protocol in ("aw-sequential", "parametrized-cache"):
+            sim, recorder, system = make_system(protocol=protocol)
+            system.add_application("A", [Write("x", 1), Write("y", 2)])
+            system.add_application("B", [])
+            sim.run()  # ProtocolError would surface if acks came out of order
+            writes = [(op.var, op.value) for op in recorder.history().of_process("A")]
+            assert writes == [("x", 1), ("y", 2)]
 
 
 class TestSequentialConsistency:

@@ -28,7 +28,9 @@ class TestSections:
 
 
 class TestGenerateReport:
-    def test_full_report_generates(self):
+    def test_full_report_generates(self, monkeypatch, tmp_path):
+        # Outside the repository root: the report needs only the package.
+        monkeypatch.chdir(tmp_path)
         progressed = []
         report = generate_report(progress=progressed.append)
         assert report.startswith("# EXPERIMENTS")
