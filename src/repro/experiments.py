@@ -2,9 +2,10 @@
 
 Single home for the measurement code behind three consumers: the
 benchmark suite (``benchmarks/``), the EXPERIMENTS.md generator
-(``scripts/run_experiments.py``) and the command-line interface
-(``python -m repro``). Each function builds, runs and measures one
-configuration; the callers decide what to sweep and how to present it.
+(``python -m repro experiments``) and the rest of the command-line
+interface (``python -m repro``). Each function builds, runs and
+measures one configuration; the callers decide what to sweep and how to
+present it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.checker import check_causal, check_causal_convergence, check_sequential
+from repro.checker import check_causal, check_causal_convergence, check_pram, check_sequential
 from repro.errors import CheckerError
 from repro.interconnect.bridge import Bridge, connect
 from repro.interconnect.topology import interconnect
@@ -339,18 +340,20 @@ ZOO_PROTOCOLS = [
     "lamport-sequential", "hybrid", "parametrized-cache", "fifo-apply",
 ]
 
+#: The one X3 workload every zoo member runs.
+ZOO_WORKLOAD = WorkloadSpec(processes=4, ops_per_process=6, write_ratio=0.5)
+
 
 def run_zoo_member(protocol: str, seed: int = 11) -> dict[str, Any]:
-    """Cost and checker verdicts of *protocol* on the one X3 workload."""
-    system, history, _ = _run_alone(
-        get(protocol), WorkloadSpec(processes=4, ops_per_process=6, write_ratio=0.5), seed
-    )
+    """Cost and checker verdicts of *protocol* on :data:`ZOO_WORKLOAD`."""
+    system, history, _ = _run_alone(get(protocol), ZOO_WORKLOAD, seed)
     return {
         "protocol": protocol,
         "msgs_per_write": system.network.messages_sent / max(_writes(history), 1),
         "mean_response": response_stats([system]).mean,
         "causal": check_causal(history).ok,
         "ccv": check_causal_convergence(history).ok,
+        "pram": check_pram(history).ok,
         "sequential": check_sequential(history).ok if len(history) <= 60 else None,
     }
 
@@ -459,6 +462,7 @@ __all__ = [
     "partial_replication",
     "invalidation_traffic",
     "ZOO_PROTOCOLS",
+    "ZOO_WORKLOAD",
     "run_zoo_member",
     "coalescing_burst",
     "CHANNEL_SEEDS",

@@ -33,13 +33,14 @@ from __future__ import annotations
 
 import logging
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.checker import check_causal
 from repro.checker.report import CheckResult
 from repro.errors import CheckerError, ExplorationError
-from repro.explore.fingerprint import _iter_is_processes, fingerprinter
+from repro.explore.fingerprint import fingerprinter
 from repro.explore.policy import TracePolicy, target_of
 from repro.sim.core import EnabledEvent
 
@@ -138,7 +139,7 @@ def scheduling_aliases(result) -> dict[str, str]:
     """Map IS-process names to their MCS-process scheduling domain, so
     inter-IS channel deliveries conflict with that IS-process's writes."""
     aliases: dict[str, str] = {}
-    for isp in _iter_is_processes(result):
+    for isp in result.is_processes():
         mcs = getattr(isp, "mcs", None)
         target = getattr(mcs, "name", None)
         if target:
@@ -257,20 +258,27 @@ def run_with_trace(
     *instruments* (a :class:`repro.obs.instruments.Instruments`) attaches
     tracing/metrics to the replayed run — the supported way to get a full
     event timeline of a counterexample schedule.
+
+    The caller owns the returned scenario and closes it when done with
+    it (:meth:`~repro.workloads.scenarios.ScenarioResult.close`); a
+    replay that raises closes its scenario itself.
     """
     result = factory()
-    policy = TracePolicy(trace)
-    result.sim.policy = policy
-    if instruments is not None:
-        result.sim.instruments = instruments
-    result.sim.run(max_events=max_steps)
-    if result.sim.pending:
-        raise ExplorationError(
-            f"scenario did not quiesce within {max_steps} events"
-        )
-    for system in result.systems:
-        system.check_quiescent()
-    verdict = _verdict(result, check_theorem1)
+    try:
+        result.sim.policy = TracePolicy(trace)
+        if instruments is not None:
+            result.sim.instruments = instruments
+        result.sim.run(max_events=max_steps)
+        if result.sim.pending:
+            raise ExplorationError(
+                f"scenario did not quiesce within {max_steps} events"
+            )
+        for system in result.systems:
+            system.check_quiescent()
+        verdict = _verdict(result, check_theorem1)
+    except BaseException:
+        result.close()
+        raise
     return result, verdict
 
 
@@ -335,77 +343,79 @@ def _dfs(
             budget_hit = True
             break
         branch = stack.pop()
-        result = factory()
-        policy = _ExplorerPolicy(
-            branch.prefix,
-            branch.sleep,
-            visited=visited,
-            fingerprint_fn=fingerprinter(result),
-            aliases=scheduling_aliases(result),
-            reduction=reduction,
-            max_decisions=max_decisions,
-        )
-        result.sim.policy = policy
-        pruned: Optional[str] = None
-        try:
-            result.sim.run(max_events=max_steps)
-        except _PruneRun as prune:
-            pruned = prune.reason
-        if pruned == "fingerprint":
-            outcome.pruned_fingerprint += 1
-        elif pruned == "sleep":
-            outcome.pruned_sleep += 1
-        else:
-            if result.sim.pending:
-                raise ExplorationError(
-                    f"scenario {scenario!r} did not quiesce within "
-                    f"{max_steps} events — is an interleaving unbounded?"
-                )
-            for system in result.systems:
-                system.check_quiescent()
-            outcome.explored += 1
-            outcome.max_decisions_seen = max(
-                outcome.max_decisions_seen, policy.decision_count
+        # The run is closed after its verdict and sibling push, pruned
+        # or not, so reference counting frees it (ScenarioResult.close).
+        with closing(factory()) as result:
+            policy = _ExplorerPolicy(
+                branch.prefix,
+                branch.sleep,
+                visited=visited,
+                fingerprint_fn=fingerprinter(result),
+                aliases=scheduling_aliases(result),
+                reduction=reduction,
+                max_decisions=max_decisions,
             )
-            if policy.truncated:
-                outcome.truncated += 1
-            outcome.terminal_histories.add(result.recorder.signature())
-            verdict = _verdict(result, check_theorem1)
-            if not verdict.ok:
-                logger.info(
-                    "violating schedule in %r after %d runs: %s",
-                    scenario,
-                    outcome.runs,
-                    [v.pattern for v in verdict.violations],
-                )
-                outcome.violations.append(
-                    Counterexample(
-                        scenario=scenario,
-                        trace=list(policy.trace),
-                        patterns=[v.pattern for v in verdict.violations],
-                        detail=verdict.violations[0].detail
-                        if verdict.violations
-                        else "",
+            result.sim.policy = policy
+            pruned: Optional[str] = None
+            try:
+                result.sim.run(max_events=max_steps)
+            except _PruneRun as prune:
+                pruned = prune.reason
+            if pruned == "fingerprint":
+                outcome.pruned_fingerprint += 1
+            elif pruned == "sleep":
+                outcome.pruned_sleep += 1
+            else:
+                if result.sim.pending:
+                    raise ExplorationError(
+                        f"scenario {scenario!r} did not quiesce within "
+                        f"{max_steps} events — is an interleaving unbounded?"
                     )
+                for system in result.systems:
+                    system.check_quiescent()
+                outcome.explored += 1
+                outcome.max_decisions_seen = max(
+                    outcome.max_decisions_seen, policy.decision_count
                 )
-                if (
-                    stop_after is not None
-                    and len(outcome.violations) >= stop_after
-                ):
-                    break
-        # Push the siblings of every branch point this run discovered —
-        # also for pruned runs: decisions recorded before the prune were
-        # genuinely reached and their siblings are not covered elsewhere.
-        for record in policy.records:
-            base = tuple(policy.trace[: record.position])
-            slept: set[str] = set(record.sleep)
-            for rank, tag in enumerate(record.explorable):
-                if rank > 0:
-                    stack.append(
-                        _Branch(prefix=base + (tag,), sleep=frozenset(slept))
+                if policy.truncated:
+                    outcome.truncated += 1
+                outcome.terminal_histories.add(result.recorder.signature())
+                verdict = _verdict(result, check_theorem1)
+                if not verdict.ok:
+                    logger.info(
+                        "violating schedule in %r after %d runs: %s",
+                        scenario,
+                        outcome.runs,
+                        [v.pattern for v in verdict.violations],
                     )
-                if tag is not None:
-                    slept.add(tag)
+                    outcome.violations.append(
+                        Counterexample(
+                            scenario=scenario,
+                            trace=list(policy.trace),
+                            patterns=[v.pattern for v in verdict.violations],
+                            detail=verdict.violations[0].detail
+                            if verdict.violations
+                            else "",
+                        )
+                    )
+                    if (
+                        stop_after is not None
+                        and len(outcome.violations) >= stop_after
+                    ):
+                        break
+            # Push the siblings of every branch point this run discovered —
+            # also for pruned runs: decisions recorded before the prune were
+            # genuinely reached and their siblings are not covered elsewhere.
+            for record in policy.records:
+                base = tuple(policy.trace[: record.position])
+                slept: set[str] = set(record.sleep)
+                for rank, tag in enumerate(record.explorable):
+                    if rank > 0:
+                        stack.append(
+                            _Branch(prefix=base + (tag,), sleep=frozenset(slept))
+                        )
+                    if tag is not None:
+                        slept.add(tag)
         if outcome.runs % 100 == 0:
             if on_progress is not None:
                 on_progress(outcome)

@@ -54,23 +54,9 @@ delivery closures and are not keyed; the oracle holds without them.
 from __future__ import annotations
 
 import functools
-from typing import Any, Callable, Iterable
+from typing import Any, Callable
 
 from repro.obs.profile import profiled
-
-
-def _iter_is_processes(result) -> Iterable:
-    seen: dict[str, Any] = {}
-    interconnection = getattr(result, "interconnection", None)
-    if interconnection is not None:
-        for bridge in interconnection.bridges:
-            for isp in (bridge.isp_a, bridge.isp_b):
-                seen.setdefault(isp.name, isp)
-    for system in result.systems:
-        shared = getattr(system, "_shared_isp", None)
-        if shared is not None:
-            seen.setdefault(shared.name, shared)
-    return [seen[name] for name in sorted(seen)]
 
 
 def fingerprinter(result) -> Callable[[], int]:
@@ -86,7 +72,7 @@ def fingerprinter(result) -> Callable[[], int]:
     for system in sorted(result.systems, key=lambda s: s.name):
         keys.extend(mcs.state_key for mcs in sorted(system.mcs_processes, key=lambda m: m.name))
         keys.extend(app.state_key for app in sorted(system.app_processes, key=lambda a: a.name))
-    keys.extend(isp.state_key for isp in _iter_is_processes(result))
+    keys.extend(isp.state_key for isp in result.is_processes())
     keys.append(result.sim.pending_signature)
     keys.append(result.recorder.signature)
     return functools.partial(_fingerprint, tuple(keys))

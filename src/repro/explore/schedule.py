@@ -127,12 +127,13 @@ def replay_schedule(
     from repro.explore.scenarios import get_scenario
 
     factory = get_scenario(schedule.scenario).factory
-    _, verdict = run_with_trace(
+    result, verdict = run_with_trace(
         factory,
         schedule.trace,
         max_steps=max_steps,
         check_theorem1=check_theorem1,
     )
+    result.close()
     if strict:
         got = {violation.pattern for violation in verdict.violations}
         expected = set(schedule.expected_patterns)

@@ -110,7 +110,7 @@ def shrink_counterexample(
 
     def failing(candidate: Sequence[Optional[str]]) -> bool:
         try:
-            _, verdict = run_with_trace(
+            result, verdict = run_with_trace(
                 factory,
                 candidate,
                 max_steps=max_steps,
@@ -118,6 +118,7 @@ def shrink_counterexample(
             )
         except ReproError:
             return False
+        result.close()
         if verdict.ok:
             return False
         if not wanted:
@@ -127,9 +128,10 @@ def shrink_counterexample(
     trace = shrink_trace(
         counterexample.trace, failing, max_attempts=max_attempts
     )
-    _, verdict = run_with_trace(
+    result, verdict = run_with_trace(
         factory, trace, max_steps=max_steps, check_theorem1=check_theorem1
     )
+    result.close()
     return Counterexample(
         scenario=counterexample.scenario,
         trace=trace,

@@ -145,6 +145,15 @@ class ISProcess(SimProcess, UpcallHandler):
         link = self._peers[peer_name]
         return link.pairs_sent, link.pairs_received
 
+    def close(self) -> None:
+        """Cut this IS-process's back-edges once the run is over: each
+        peer link's channel, whose deliver closure holds the peer
+        IS-process, and the attachment as its MCS-process's upcall
+        handler. The link counters stay readable (:meth:`link_stats`)."""
+        for link in self._peers.values():
+            link.channel = None
+        self.mcs.upcall_handler = None
+
     def state_key(self) -> tuple:
         """Propagation state, in the form of :meth:`MCSProcess.state_key`:
         write queue, counters, seen pairs and every peer link (outbox,

@@ -27,8 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable
 
-from repro.memory.interface import MCSProcess, callback_names
+from repro.memory.interface import MCSProcess
 from repro.protocols.base import ProtocolSpec, register
+from repro.protocols.sequencer import Sequencer
 from repro.sim.clock import LamportClock, LamportTimestamp
 
 
@@ -57,7 +58,8 @@ class LamportSequentialMCS(MCSProcess):
         self._clock = LamportClock(self.proc_index)
         self._pending: dict[LamportTimestamp, TotalOrderWrite] = {}
         self._latest_seen: dict[str, int] = {}
-        self._write_acks: list[Callable[[], None]] = []
+        #: Only the blocked writers: the total order is the timestamps'.
+        self._writers = Sequencer(self.name)
 
     # -- call handling -----------------------------------------------------
 
@@ -65,7 +67,7 @@ class LamportSequentialMCS(MCSProcess):
         ts = self._clock.tick()
         write = TotalOrderWrite(ts=ts, var=var, value=value, origin=self.name)
         self._pending[ts] = write
-        self._write_acks.append(done)  # FIFO: the app blocks per call
+        self._writers.wait(var, value, done)
         self.network.broadcast(self.name, write)
         self._try_deliver()
 
@@ -74,8 +76,7 @@ class LamportSequentialMCS(MCSProcess):
             self._clock.current,
             tuple(sorted(self._pending.items())),
             tuple(sorted(self._latest_seen.items())),
-            callback_names(self._write_acks),
-        )
+        ) + self._writers.state_key()
 
     # -- total order --------------------------------------------------------
 
@@ -118,7 +119,7 @@ class LamportSequentialMCS(MCSProcess):
         own = write.origin == self.name
         self._apply_with_upcalls(write, own_write=own)
         if own:
-            self._write_acks.pop(0)()
+            self._writers.answer(write)
 
 
 LAMPORT_SEQUENTIAL = register(

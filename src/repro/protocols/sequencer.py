@@ -5,7 +5,9 @@ sequence number and broadcasts it; each replica applies a stream in
 sequence order, and the writer blocks until its own write applies there.
 Streams are one for all variables (``aw-sequential``), one per variable
 (``parametrized-cache``), or the hybrid protocol's strong writes, whose
-readiness also requires causal readiness.
+readiness also requires causal readiness. ``lamport-sequential`` orders
+its writes by Lamport timestamps instead and uses only the blocked
+writers (:meth:`Sequencer.wait` and :meth:`Sequencer.answer`).
 """
 
 from __future__ import annotations
@@ -60,15 +62,20 @@ class Sequencer:
             own = update.origin == self.owner
             apply(update, own)
             if own:
-                var, value, done = self._waiting.pop(0)
-                if (var, value) != (update.var, update.value):
-                    raise ProtocolError(
-                        f"{self.owner}: writes acknowledged out of order "
-                        f"({var!r}={value!r} vs {update.var!r}={update.value!r})"
-                    )
-                done()
+                self.answer(update)
             self._next[stream] = seqno + 1
             released = True
+
+    def answer(self, update: Any) -> None:
+        """Answer the oldest blocked writer, whose write *update* must be:
+        the owner's writes apply in the order they were issued."""
+        var, value, done = self._waiting.pop(0)
+        if (var, value) != (update.var, update.value):
+            raise ProtocolError(
+                f"{self.owner}: writes acknowledged out of order "
+                f"({var!r}={value!r} vs {update.var!r}={update.value!r})"
+            )
+        done()
 
     def state_key(self) -> tuple:
         return (

@@ -1,6 +1,6 @@
 """EXPERIMENTS.md generation: run every experiment, tabulate paper vs measured.
 
-Shared by ``scripts/run_experiments.py`` and ``python -m repro experiments``.
+Run by ``python -m repro experiments``.
 """
 
 from __future__ import annotations
@@ -368,7 +368,7 @@ def generate_report(progress=None) -> str:
     parts = [
         "# EXPERIMENTS — paper vs. measured",
         "",
-        "Generated by `python scripts/run_experiments.py`. Every number below is",
+        "Generated by `python -m repro experiments`. Every number below is",
         "measured on the deterministic simulator; 'model' columns are the paper's",
         "§6 closed forms (or the formal claims of §3–§5). The paper reports no",
         "empirical tables, so its analytical claims *are* the evaluation; the",

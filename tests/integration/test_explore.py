@@ -1,7 +1,7 @@
 """End-to-end exploration campaigns: the acceptance surface of the
 schedule explorer.
 
-Three layers, mirroring docs/explorer.md:
+Five layers, mirroring docs/explorer.md:
 
 * **Exhaustion** — the 2 systems x 2 processes x 2 writes bridge is
   searched to completion under both IS-protocols with zero violations
@@ -21,13 +21,17 @@ Three layers, mirroring docs/explorer.md:
   counts it reached before the decision-point fast path; the exhaustive
   bridge-p1 and bridge-p2 searches reach exactly their explored, run
   and distinct-history totals.
+* **No cyclic garbage** — every scenario a search or a shrink builds is
+  closed when it is done with, so the cyclic collector finds nothing.
 """
 
+import gc
 import json
 
 import pytest
 
 from repro.explore import (
+    SCENARIOS,
     explore,
     explore_parallel,
     get_scenario,
@@ -59,6 +63,37 @@ def test_bridge_p1_budgeted_totals_are_pinned(jobs):
         result.pruned_sleep,
         result.distinct_histories,
     ) == BRIDGE_P1_500[jobs], result.summary()
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def test_search_leaves_no_cyclic_garbage(scenario):
+    # Each run is closed after its verdict, pruned or not, so reference
+    # counting frees it: the cyclic collector finds nothing afterwards.
+    gc.collect()
+    gc.disable()
+    try:
+        result = explore(scenario, max_interleavings=300, stop_after=None)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert result.runs == 300
+    assert garbage == 0
+
+
+@pytest.mark.parametrize(
+    "scenario", sorted(name for name, entry in SCENARIOS.items() if entry.expect_violation)
+)
+def test_shrinking_leaves_no_cyclic_garbage(scenario):
+    found = explore(scenario, max_interleavings=20_000)
+    gc.collect()
+    gc.disable()
+    try:
+        shrunk = shrink_counterexample(found.violations[0])
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert shrunk.decisions < found.violations[0].decisions
+    assert garbage == 0
 
 
 @pytest.mark.slow

@@ -1,7 +1,9 @@
 """Unit tests for the schedule-explorer building blocks."""
 
+import gc
 import json
 import random
+import weakref
 from collections import deque
 
 import pytest
@@ -571,3 +573,43 @@ class TestCatalogue:
     def test_get_scenario_error_lists_known_names(self):
         with pytest.raises(ExplorationError, match="bridge-p1"):
             get_scenario("nope")
+
+
+class TestClose:
+    def test_counters_and_history_survive_close(self):
+        result = small_bridge_scenario(use_pre_update=False)
+        run_until_quiescent(result.sim, result.systems)
+
+        def observed():
+            return (
+                result.sim.events_processed,
+                [system.network.messages_sent for system in result.systems],
+                [
+                    (bridge.pairs_a_to_b, bridge.pairs_b_to_a, bridge.messages_crossing)
+                    for bridge in result.interconnection.bridges
+                ],
+                result.recorder.history().operations,
+            )
+
+        before = observed()
+        assert before[0] > 0 and all(before[1]) and all(all(pair) for pair in before[2])
+        result.close()
+        assert observed() == before
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_closed_run_is_freed_by_reference_counting(self, scenario):
+        result = get_scenario(scenario).factory()
+        result.sim.policy = TracePolicy(())
+        result.sim.run(max_events=5)
+        assert result.sim.pending  # closed mid-run, as a pruned run is
+        parts = [result.sim, *result.systems, *result.is_processes()]
+        parts += [mcs for system in result.systems for mcs in system.mcs_processes]
+        refs = [weakref.ref(part) for part in parts]
+        del parts
+        gc.disable()
+        try:
+            result.close()
+            del result
+            assert [ref() for ref in refs] == [None] * len(refs)
+        finally:
+            gc.enable()

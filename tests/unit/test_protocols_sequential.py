@@ -46,14 +46,28 @@ class TestWritesBlock:
         assert a.mcs._sequencer_of("x") == b.mcs._sequencer_of("y")
 
     def test_acknowledgement_order_enforced(self):
-        # One global stream, and one stream per variable at its owner.
-        for protocol in ("aw-sequential", "parametrized-cache"):
+        # One global stream, one stream per variable at its owner, and
+        # Lamport timestamps.
+        for protocol in ("aw-sequential", "parametrized-cache", "lamport-sequential"):
             sim, recorder, system = make_system(protocol=protocol)
             system.add_application("A", [Write("x", 1), Write("y", 2)])
             system.add_application("B", [])
             sim.run()  # ProtocolError would surface if acks came out of order
             writes = [(op.var, op.value) for op in recorder.history().of_process("A")]
             assert writes == [("x", 1), ("y", 2)]
+
+    def test_lamport_out_of_order_acknowledgement_is_an_error(self):
+        from repro.errors import ProtocolError
+        from repro.protocols.lamport_total import TotalOrderWrite
+
+        sim, _, system = make_system(protocol="lamport-sequential")
+        mcs = system.new_mcs("A")
+        system.new_mcs("B")  # a peer keeps both writes pending
+        mcs.issue_write("x", 1, lambda: None)
+        mcs.issue_write("y", 2, lambda: None)
+        second = TotalOrderWrite(ts=mcs._clock.tick(), var="y", value=2, origin=mcs.name)
+        with pytest.raises(ProtocolError, match="acknowledged out of order"):
+            mcs._apply(second)
 
 
 class TestSequentialConsistency:
