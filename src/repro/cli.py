@@ -263,7 +263,7 @@ def _command_explore(args: argparse.Namespace) -> int:
     from repro.explore import (
         SCENARIOS,
         Schedule,
-        explore_parallel,
+        explore,
         get_scenario,
         replay_schedule,
         save_schedule,
@@ -296,12 +296,11 @@ def _command_explore(args: argparse.Namespace) -> int:
         return 0
 
     entry = get_scenario(args.scenario)
-    result = explore_parallel(
+    result = explore(
         args.scenario,
         jobs=args.jobs,
         max_interleavings=args.max_interleavings,
         max_decisions=args.max_decisions,
-        reduction=args.reduction,
         check_theorem1=args.theorem1,
         stop_after=None if args.keep_going else args.stop_after,
     )
@@ -653,12 +652,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=128,
         help="per-run cap on scheduling decisions beyond the replayed prefix",
-    )
-    explore_parser.add_argument(
-        "--reduction",
-        choices=("sleep", "fingerprint", "none"),
-        default="sleep",
-        help="partial-order reduction mode (default: sleep sets + fingerprints)",
     )
     explore_parser.add_argument(
         "--theorem1",

@@ -8,7 +8,9 @@ small-scope model checker:
 
 * :mod:`repro.explore.engine` — a replay-based DFS over scheduling
   decisions, with sleep-set-style partial-order reduction and
-  state-fingerprint pruning;
+  state-fingerprint pruning; :func:`explore` is the one search entry
+  point, sequential or (``jobs >= 2``) fanned out over forked workers
+  by :mod:`repro.explore.parallel`;
 * :mod:`repro.explore.fingerprint` — canonical hashing of the global
   state (replica contents, in-flight messages, IS-process state);
 * :mod:`repro.explore.shrink` — delta-debugging minimisation of failing
@@ -27,7 +29,6 @@ from repro.explore.engine import (
     explore,
     run_with_trace,
 )
-from repro.explore.parallel import explore_parallel
 from repro.explore.scenarios import SCENARIOS, ExploreScenario, get_scenario
 from repro.explore.schedule import (
     Schedule,

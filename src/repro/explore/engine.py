@@ -32,6 +32,7 @@ proof construction. Failing traces are reported as
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
 from contextlib import closing
 from dataclasses import dataclass, field
@@ -46,8 +47,9 @@ from repro.sim.core import EnabledEvent
 
 logger = logging.getLogger(__name__)
 
-#: Reduction modes, strongest first.
-REDUCTIONS = ("sleep", "fingerprint", "none")
+#: Per-run event cap: a run still pending after this many events is
+#: reported as unbounded rather than searched forever.
+MAX_STEPS = 100_000
 
 
 class _PruneRun(Exception):
@@ -56,6 +58,24 @@ class _PruneRun(Exception):
     def __init__(self, reason: str) -> None:
         super().__init__(reason)
         self.reason = reason
+
+
+@dataclass(frozen=True)
+class _Bounds:
+    """The bounds of one search, shared by every loop that serves it
+    (sequential, parallel bootstrap and work-units)."""
+
+    max_interleavings: int
+    max_decisions: Optional[int]
+    check_theorem1: bool
+    stop_after: Optional[int]
+
+    def stopped(self, outcome: "ExploreResult") -> bool:
+        """Whether *outcome* holds enough violations to end the search."""
+        return (
+            self.stop_after is not None
+            and len(outcome.violations) >= self.stop_after
+        )
 
 
 @dataclass(frozen=True)
@@ -156,7 +176,6 @@ class _ExplorerPolicy(TracePolicy):
         visited: dict[int, list[frozenset[str]]],
         fingerprint_fn: Callable[[], int],
         aliases: dict[str, str],
-        reduction: str,
         max_decisions: Optional[int],
     ) -> None:
         super().__init__(prefix)
@@ -167,8 +186,6 @@ class _ExplorerPolicy(TracePolicy):
         self._aliases = aliases
         #: target_of per tag, resolved once per run.
         self._targets: dict[str, str] = {}
-        self._use_sleep = reduction == "sleep"
-        self._use_fingerprints = reduction in ("sleep", "fingerprint")
         self._max_decisions = max_decisions
         self.records: list[_BranchRecord] = []
         self.truncated = False
@@ -211,26 +228,18 @@ class _ExplorerPolicy(TracePolicy):
         ):
             self.truncated = True
             return 0
-        if self._use_fingerprints:
-            fingerprint = self._fingerprint_fn()
-            stored = self._visited.get(fingerprint)
-            if stored is not None and any(
-                sleep <= self._sleep for sleep in stored
-            ):
-                raise _PruneRun("fingerprint")
-            self._visited.setdefault(fingerprint, []).append(
-                frozenset(self._sleep)
-            )
-        if self._use_sleep:
-            indices = [
-                index
-                for index, candidate in enumerate(candidates)
-                if candidate.tag is None or candidate.tag not in self._sleep
-            ]
-            if not indices:
-                raise _PruneRun("sleep")
-        else:
-            indices = range(len(candidates))
+        fingerprint = self._fingerprint_fn()
+        stored = self._visited.get(fingerprint)
+        if stored is not None and any(sleep <= self._sleep for sleep in stored):
+            raise _PruneRun("fingerprint")
+        self._visited.setdefault(fingerprint, []).append(frozenset(self._sleep))
+        indices = [
+            index
+            for index, candidate in enumerate(candidates)
+            if candidate.tag is None or candidate.tag not in self._sleep
+        ]
+        if not indices:
+            raise _PruneRun("sleep")
         self.records.append(
             _BranchRecord(
                 position=position,
@@ -245,7 +254,6 @@ def run_with_trace(
     factory: Callable[[], "object"],
     trace: Sequence[Optional[str]] = (),
     *,
-    max_steps: int = 100_000,
     check_theorem1: bool = False,
     instruments=None,
 ):
@@ -268,10 +276,10 @@ def run_with_trace(
         result.sim.policy = TracePolicy(trace)
         if instruments is not None:
             result.sim.instruments = instruments
-        result.sim.run(max_events=max_steps)
+        result.sim.run(max_events=MAX_STEPS)
         if result.sim.pending:
             raise ExplorationError(
-                f"scenario did not quiesce within {max_steps} events"
+                f"scenario did not quiesce within {MAX_STEPS} events"
             )
         for system in result.systems:
             system.check_quiescent()
@@ -312,36 +320,27 @@ def _verdict(result, check_theorem1: bool) -> CheckResult:
 def _dfs(
     scenario: str,
     factory: Callable[[], "object"],
+    bounds: _Bounds,
     outcome: ExploreResult,
     stack: list[_Branch],
     visited: dict[int, list[frozenset[str]]],
-    *,
-    max_interleavings: int,
-    max_decisions: Optional[int],
-    max_steps: int,
-    reduction: str,
-    check_theorem1: bool,
-    stop_after: Optional[int],
-    on_progress: Optional[Callable[[ExploreResult], None]],
     frontier_target: Optional[int] = None,
-) -> tuple[bool, list[_Branch]]:
-    """The stateless-DFS work loop shared by :func:`explore` and the
-    parallel engine (:mod:`repro.explore.parallel`).
+) -> bool:
+    """The stateless-DFS work loop behind :func:`explore`, its parallel
+    bootstrap and every work-unit (:mod:`repro.explore.parallel`).
 
     Pops branches off *stack*, replays them, accumulates verdicts into
-    *outcome* and pushes sibling branches back, exactly as the classic
-    sequential loop does. With *frontier_target* set, the loop stops as
-    soon as the stack holds at least that many branches (the parallel
-    bootstrap: the remaining stack entries become work-units). Returns
-    ``(budget_hit, stack)``.
+    *outcome* and pushes sibling branches back. With *frontier_target*
+    set, the loop stops as soon as the stack holds at least that many
+    branches (the parallel bootstrap: the remaining stack entries become
+    work-units). Returns whether the run budget was hit; *stack* holds
+    whatever is left unexplored.
     """
-    budget_hit = False
     while stack:
         if frontier_target is not None and len(stack) >= frontier_target:
             break
-        if outcome.runs >= max_interleavings:
-            budget_hit = True
-            break
+        if outcome.runs >= bounds.max_interleavings:
+            return True
         branch = stack.pop()
         # The run is closed after its verdict and sibling push, pruned
         # or not, so reference counting frees it (ScenarioResult.close).
@@ -352,13 +351,12 @@ def _dfs(
                 visited=visited,
                 fingerprint_fn=fingerprinter(result),
                 aliases=scheduling_aliases(result),
-                reduction=reduction,
-                max_decisions=max_decisions,
+                max_decisions=bounds.max_decisions,
             )
             result.sim.policy = policy
             pruned: Optional[str] = None
             try:
-                result.sim.run(max_events=max_steps)
+                result.sim.run(max_events=MAX_STEPS)
             except _PruneRun as prune:
                 pruned = prune.reason
             if pruned == "fingerprint":
@@ -369,7 +367,7 @@ def _dfs(
                 if result.sim.pending:
                     raise ExplorationError(
                         f"scenario {scenario!r} did not quiesce within "
-                        f"{max_steps} events — is an interleaving unbounded?"
+                        f"{MAX_STEPS} events — is an interleaving unbounded?"
                     )
                 for system in result.systems:
                     system.check_quiescent()
@@ -380,7 +378,7 @@ def _dfs(
                 if policy.truncated:
                     outcome.truncated += 1
                 outcome.terminal_histories.add(result.recorder.signature())
-                verdict = _verdict(result, check_theorem1)
+                verdict = _verdict(result, bounds.check_theorem1)
                 if not verdict.ok:
                     logger.info(
                         "violating schedule in %r after %d runs: %s",
@@ -398,10 +396,7 @@ def _dfs(
                             else "",
                         )
                     )
-                    if (
-                        stop_after is not None
-                        and len(outcome.violations) >= stop_after
-                    ):
+                    if bounds.stopped(outcome):
                         break
             # Push the siblings of every branch point this run discovered —
             # also for pruned runs: decisions recorded before the prune were
@@ -417,8 +412,6 @@ def _dfs(
                     if tag is not None:
                         slept.add(tag)
         if outcome.runs % 100 == 0:
-            if on_progress is not None:
-                on_progress(outcome)
             logger.debug(
                 "%r: %d runs (%d explored, %d pruned), stack depth %d",
                 scenario,
@@ -427,7 +420,7 @@ def _dfs(
                 outcome.pruned_sleep + outcome.pruned_fingerprint,
                 len(stack),
             )
-    return budget_hit, stack
+    return False
 
 
 def _emit_metrics(
@@ -467,13 +460,11 @@ def explore(
     scenario: str,
     factory: Optional[Callable[[], "object"]] = None,
     *,
+    jobs: int = 1,
     max_interleavings: int = 20_000,
     max_decisions: Optional[int] = 128,
-    max_steps: int = 100_000,
-    reduction: str = "sleep",
     check_theorem1: bool = False,
     stop_after: Optional[int] = 1,
-    on_progress: Optional[Callable[[ExploreResult], None]] = None,
     metrics=None,
 ) -> ExploreResult:
     """Systematically explore the interleavings of a small scenario.
@@ -484,50 +475,58 @@ def explore(
             label on results).
         factory: zero-argument callable building a fresh, unrun
             ``ScenarioResult``. Defaults to the registered scenario.
+        jobs: worker processes. With 2 or more, the search fans subtree
+            work-units out over forked workers
+            (:mod:`repro.explore.parallel`); the result then does not
+            depend on the worker count, and ``max_interleavings`` and
+            ``stop_after`` apply to each work-unit separately. Without
+            the ``fork`` start method the search runs sequentially.
         max_interleavings: total run budget (complete + pruned runs).
         max_decisions: per-run cap on decisions beyond the replayed
             prefix; deeper branch points are not expanded (the run still
             completes and is checked). None removes the cap.
-        max_steps: per-run event cap (guards against runaway scenarios).
-        reduction: ``"sleep"`` (sleep sets + fingerprints, default),
-            ``"fingerprint"`` (fingerprints only) or ``"none"`` (raw DFS).
         check_theorem1: also run the Theorem 1 proof construction on
             every causally-clean interleaving.
         stop_after: stop once this many violating schedules were found
             (None: keep searching the whole budget).
-        on_progress: called with the running result every 100 runs.
         metrics: optional :class:`repro.obs.metrics.MetricsRegistry`
             receiving per-outcome run counters and a runs-per-second
             gauge (wall-clock — exploration throughput is a real-time
             quantity, unlike anything recorded in traces).
     """
-    if reduction not in REDUCTIONS:
-        raise ExplorationError(
-            f"unknown reduction {reduction!r}; pick one of {REDUCTIONS}"
-        )
     if factory is None:
         from repro.explore.scenarios import get_scenario
 
         factory = get_scenario(scenario).factory
+    if jobs >= 2 and "fork" not in multiprocessing.get_all_start_methods():
+        logger.warning(
+            "fork start method unavailable; exploring %r sequentially", scenario
+        )
+        jobs = 1
+    bounds = _Bounds(max_interleavings, max_decisions, check_theorem1, stop_after)
     outcome = ExploreResult(scenario=scenario)
     visited: dict[int, list[frozenset[str]]] = {}
     stack: list[_Branch] = [_Branch(prefix=(), sleep=frozenset())]
     started_at = time.perf_counter()
-    logger.debug("exploring %r (reduction=%s)", scenario, reduction)
-    budget_hit, stack = _dfs(
+    logger.debug("exploring %r (jobs=%d)", scenario, jobs)
+    from repro.explore.parallel import UNIT_TARGET, _fan_out
+
+    # With workers, the sequential loop is the bootstrap: it stops once
+    # the frontier holds UNIT_TARGET branches, which become work-units.
+    budget_hit = _dfs(
         scenario,
         factory,
+        bounds,
         outcome,
         stack,
         visited,
-        max_interleavings=max_interleavings,
-        max_decisions=max_decisions,
-        max_steps=max_steps,
-        reduction=reduction,
-        check_theorem1=check_theorem1,
-        stop_after=stop_after,
-        on_progress=on_progress,
+        frontier_target=UNIT_TARGET if jobs >= 2 else None,
     )
+    if jobs >= 2 and stack and not budget_hit and not bounds.stopped(outcome):
+        budget_hit = _fan_out(
+            scenario, factory, bounds, outcome, stack, visited, jobs
+        )
+        stack = []
     outcome.exhausted = (
         not stack and not budget_hit and outcome.truncated == 0
     )
@@ -545,5 +544,5 @@ __all__ = [
     "Counterexample",
     "run_with_trace",
     "scheduling_aliases",
-    "REDUCTIONS",
+    "MAX_STEPS",
 ]

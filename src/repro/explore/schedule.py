@@ -112,7 +112,6 @@ def replay_schedule(
     schedule: Union[Schedule, str, Path],
     *,
     check_theorem1: bool = False,
-    max_steps: int = 100_000,
     strict: bool = True,
 ) -> CheckResult:
     """Re-execute a schedule against a fresh build of its scenario.
@@ -128,10 +127,7 @@ def replay_schedule(
 
     factory = get_scenario(schedule.scenario).factory
     result, verdict = run_with_trace(
-        factory,
-        schedule.trace,
-        max_steps=max_steps,
-        check_theorem1=check_theorem1,
+        factory, schedule.trace, check_theorem1=check_theorem1
     )
     result.close()
     if strict:

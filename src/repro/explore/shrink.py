@@ -94,7 +94,6 @@ def shrink_counterexample(
     *,
     check_theorem1: bool = False,
     max_attempts: int = 4000,
-    max_steps: int = 100_000,
 ) -> Counterexample:
     """Shrink a counterexample, preserving its violation family.
 
@@ -111,10 +110,7 @@ def shrink_counterexample(
     def failing(candidate: Sequence[Optional[str]]) -> bool:
         try:
             result, verdict = run_with_trace(
-                factory,
-                candidate,
-                max_steps=max_steps,
-                check_theorem1=check_theorem1,
+                factory, candidate, check_theorem1=check_theorem1
             )
         except ReproError:
             return False
@@ -129,7 +125,7 @@ def shrink_counterexample(
         counterexample.trace, failing, max_attempts=max_attempts
     )
     result, verdict = run_with_trace(
-        factory, trace, max_steps=max_steps, check_theorem1=check_theorem1
+        factory, trace, check_theorem1=check_theorem1
     )
     result.close()
     return Counterexample(

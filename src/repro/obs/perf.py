@@ -13,10 +13,12 @@ enough to gate on.
 
 Portability of the gate: raw seconds are meaningless across machines, so
 every case carries a *calibration score* — the wall time of a fixed
-allocation-free loop run just before its timing round — and the gate
-compares calibration-normalized times against the committed
-``benchmarks/perf_baseline.json``. A gated case whose normalized time
-exceeds the baseline by more than :data:`GATE_TOLERANCE` fails the suite.
+allocation-free loop run just before its timing round (for the
+minute-long explorer cases, the mean of one run before and one after)
+— and the gate compares calibration-normalized times against the
+committed ``benchmarks/perf_baseline.json``. A gated case whose
+normalized time exceeds the baseline by more than
+:data:`GATE_TOLERANCE` fails the suite.
 
 The baseline file also records the pre-optimization timings measured on
 the machine that produced it, which is how the report's
@@ -271,25 +273,33 @@ def _case_explore_p1(rounds: int) -> dict:
 
 
 def _case_explorer(scenario: str, jobs_list: tuple[int, ...]) -> tuple[list[dict], list[str]]:
-    """Sequential + parallel exhaustion of *scenario*; certifies parity."""
-    from repro.explore import explore_parallel
+    """Sequential + parallel exhaustion of *scenario*; certifies parity.
+
+    A case can last a minute, over which the host's speed drifts, so it
+    is calibrated just before and just after, and normalized by the mean
+    of the two.
+    """
+    from repro.explore import explore
 
     cases: list[dict] = []
     failures: list[str] = []
     outcomes: dict[int, object] = {}
     for jobs in jobs_list:
-        calibration = calibrate()
+        before = calibrate()
         started = time.perf_counter()
-        outcome = explore_parallel(
+        outcome = explore(
             scenario, jobs=jobs, max_interleavings=400_000, stop_after=None
         )
         seconds = time.perf_counter() - started
+        after = calibrate()
         outcomes[jobs] = outcome
         cases.append(
             {
                 "name": f"explore_{scenario}_jobs{jobs}",
                 "seconds": seconds,
-                "calibration_seconds": calibration,
+                "calibration_seconds": (before + after) / 2,
+                "calibration_before_seconds": before,
+                "calibration_after_seconds": after,
                 "runs_per_second": outcome.runs / seconds if seconds > 0 else 0.0,
                 "jobs": jobs,
                 "ok": outcome.exhausted,

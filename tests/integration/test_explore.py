@@ -33,7 +33,6 @@ import pytest
 from repro.explore import (
     SCENARIOS,
     explore,
-    explore_parallel,
     get_scenario,
     load_schedule,
     replay_schedule,
@@ -53,9 +52,7 @@ EXHAUSTED_BRIDGE_TOTALS = (4_726, 80_952, 120)
 
 @pytest.mark.parametrize("jobs", sorted(BRIDGE_P1_500))
 def test_bridge_p1_budgeted_totals_are_pinned(jobs):
-    result = explore_parallel(
-        "bridge-p1", jobs=jobs, max_interleavings=500, stop_after=None
-    )
+    result = explore("bridge-p1", jobs=jobs, max_interleavings=500, stop_after=None)
     assert not result.violations, result.summary()
     assert (
         result.explored,

@@ -1,4 +1,4 @@
-"""Coverage oracle for the explorer's state fingerprints.
+"""Coverage oracles for the explorer's two reductions.
 
 Sleep sets alone are a sound reduction: they skip only interleavings
 that commute with one already explored. Fingerprint pruning adds state
@@ -9,6 +9,11 @@ the values read) reached by the default sleep+fingerprint search must
 equal the set reached by sleep-only search. Sleep-only search is the
 same engine with a fingerprint that never repeats, so no state is ever
 merged.
+
+The sleep sets get the converse oracle: with every fired event waking
+every sleeper, nothing stays asleep and the search is fingerprint-only.
+Raw DFS, with neither reduction, is too slow to serve as the reference
+even on the smallest fifo race.
 """
 
 import functools
@@ -46,6 +51,21 @@ def _assert_same_coverage(scenario, factory, monkeypatch, expected):
 def test_small_fifo_fingerprints_lose_no_terminal_history(monkeypatch):
     factory = functools.partial(small_fifo_scenario, max_polls=2)
     _assert_same_coverage("faulty-fifo", factory, monkeypatch, expected=11)
+
+
+def test_small_fifo_sleep_sets_lose_no_terminal_history(monkeypatch):
+    factory = functools.partial(small_fifo_scenario, max_polls=2)
+    default = explore("fifo2", factory, max_interleavings=400_000, stop_after=None)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine._ExplorerPolicy, "wakes", lambda self, slept, fired: True)
+        fingerprint_only = explore(
+            "fifo2", factory, max_interleavings=400_000, stop_after=None
+        )
+    assert default.exhausted and fingerprint_only.exhausted
+    assert fingerprint_only.pruned_sleep == 0
+    assert fingerprint_only.runs > default.runs
+    assert fingerprint_only.distinct_histories == 11
+    assert default.terminal_histories == fingerprint_only.terminal_histories
 
 
 @pytest.mark.slow

@@ -288,7 +288,6 @@ class TestSleepWakeups:
             visited={},
             fingerprint_fn=lambda: 0,
             aliases=aliases,
-            reduction="sleep",
             max_decisions=None,
         )
         outcomes = set()
@@ -345,10 +344,6 @@ class TestExploreEngine:
         with pytest.raises(ExplorationError):
             explore("no-such-scenario")
 
-    def test_unknown_reduction_rejected(self):
-        with pytest.raises(ExplorationError):
-            explore("faulty-fifo", reduction="dpor-ng")
-
     def test_budget_cap_is_respected(self):
         result = explore("faulty-fifo", max_interleavings=5, stop_after=None)
         assert result.runs <= 5
@@ -371,19 +366,6 @@ class TestExploreEngine:
         assert {v.pattern for v in verdict.violations} >= set(
             counterexample.patterns
         )
-
-    def test_reduction_none_explores_more_runs(self):
-        reduced = explore(
-            "faulty-fifo", max_interleavings=300, stop_after=None
-        )
-        raw = explore(
-            "faulty-fifo",
-            max_interleavings=300,
-            stop_after=None,
-            reduction="none",
-        )
-        assert raw.pruned_sleep == raw.pruned_fingerprint == 0
-        assert reduced.pruned_sleep + reduced.pruned_fingerprint > 0
 
 
 class TestTracePolicy:

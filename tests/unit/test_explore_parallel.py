@@ -4,11 +4,11 @@ The heavyweight certification (bridge-p1 exhaustion under ``--jobs``)
 lives in the integration suite and CI; these tests pin the fast
 invariants on the small catalogued scenarios:
 
-* ``jobs=1`` routes to the sequential engine (same object semantics),
 * parallel totals, verdicts and terminal histories are independent of
   the worker count,
 * the bootstrap frontier split covers the tree (exhaustion with no
   lost or double-counted subtrees),
+* workers explore the factory the caller gave, not a registered one,
 * the metrics finalization partitions runs by outcome and always emits
   the throughput gauge.
 """
@@ -19,8 +19,6 @@ import multiprocessing
 import pytest
 
 from repro.explore.engine import ExploreResult, _emit_metrics, explore
-from repro.explore.parallel import explore_parallel
-from repro.explore.scenarios import SCENARIOS, ExploreScenario
 from repro.obs.metrics import MetricsRegistry
 from repro.workloads.scenarios import small_fifo_scenario
 
@@ -34,31 +32,13 @@ def sequential():
 
 @pytest.fixture(scope="module")
 def parallel_two():
-    return explore_parallel(
-        SCENARIO, jobs=2, max_interleavings=400_000, stop_after=None
-    )
-
-
-class TestSequentialRouting:
-    def test_jobs_one_matches_sequential_exactly(self, sequential):
-        routed = explore_parallel(
-            SCENARIO, jobs=1, max_interleavings=400_000, stop_after=None
-        )
-        assert routed.explored == sequential.explored
-        assert routed.pruned_fingerprint == sequential.pruned_fingerprint
-        assert routed.pruned_sleep == sequential.pruned_sleep
-        assert routed.truncated == sequential.truncated
-        assert routed.exhausted == sequential.exhausted
-        assert routed.terminal_histories == sequential.terminal_histories
-        assert [c.trace for c in routed.violations] == [
-            c.trace for c in sequential.violations
-        ]
+    return explore(SCENARIO, jobs=2, max_interleavings=400_000, stop_after=None)
 
 
 class TestParallelDeterminism:
     def test_totals_independent_of_worker_count(self, parallel_two):
         for jobs in (3, 4):
-            result = explore_parallel(
+            result = explore(
                 SCENARIO, jobs=jobs, max_interleavings=400_000, stop_after=None
             )
             assert result.explored == parallel_two.explored
@@ -83,9 +63,7 @@ class TestParallelDeterminism:
 
     def test_parallel_finds_the_violation_sequentially_found(self):
         seq = explore("bridge-noread", max_interleavings=400_000, stop_after=1)
-        par = explore_parallel(
-            "bridge-noread", jobs=2, max_interleavings=400_000, stop_after=1
-        )
+        par = explore("bridge-noread", jobs=2, max_interleavings=400_000, stop_after=1)
         assert seq.violations and par.violations
         assert sorted(set(par.violations[0].patterns)) == sorted(
             set(seq.violations[0].patterns)
@@ -96,26 +74,36 @@ class TestParallelDeterminism:
         # UNIT_TARGET never leaves the parent process. With one poll the
         # fifo race is such a tree; the catalogued ones all outgrow the
         # frontier within their first run.
-        monkeypatch.setitem(
-            SCENARIOS,
-            "tiny-fifo",
-            ExploreScenario(
-                "tiny-fifo",
-                functools.partial(small_fifo_scenario, max_polls=1),
-                "faulty-fifo with a single poll",
-            ),
-        )
+        factory = functools.partial(small_fifo_scenario, max_polls=1)
 
         def no_workers(method):
             raise AssertionError(f"explorer started {method} workers")
 
         monkeypatch.setattr(multiprocessing, "get_context", no_workers)
-        result = explore_parallel(
-            "tiny-fifo", jobs=2, max_interleavings=400_000, stop_after=None
+        result = explore(
+            "tiny-fifo", factory, jobs=2, max_interleavings=400_000, stop_after=None
         )
-        sequential = explore("tiny-fifo", max_interleavings=400_000, stop_after=None)
+        sequential = explore(
+            "tiny-fifo", factory, max_interleavings=400_000, stop_after=None
+        )
         assert result.exhausted
         assert result.runs == sequential.runs
+
+    def test_workers_explore_the_callers_factory(self):
+        # The factory is no registered scenario: workers inherit it from
+        # the parent, so the fan-out searches it and not a catalogue
+        # entry of the same name.
+        factory = functools.partial(small_fifo_scenario, max_polls=2)
+        sequential = explore(
+            "fifo2", factory, max_interleavings=400_000, stop_after=None
+        )
+        parallel = explore(
+            "fifo2", factory, jobs=2, max_interleavings=400_000, stop_after=None
+        )
+        assert sequential.exhausted and parallel.exhausted
+        assert parallel.runs > sequential.runs  # the split did fan out
+        assert sequential.distinct_histories == 11
+        assert parallel.terminal_histories == sequential.terminal_histories
 
 
 class TestMetricsFinalization:

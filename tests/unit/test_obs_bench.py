@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+import repro.explore
+from repro.explore import ExploreResult
 from repro.obs import perf
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -173,6 +175,28 @@ class TestPerfSuite:
         rendered = perf.render_perf(report)
         assert "checker_causal_320" in rendered
         assert "vs pre-optimization" in rendered
+
+    def test_explorer_case_is_normalized_by_mean_calibration(self, monkeypatch):
+        # A minute-long explorer case is calibrated before and after; a
+        # host-speed swing between the two must not rescale the case by
+        # whichever value happened to come first.
+        calibrations = iter([0.01, 0.03, 0.02, 0.04])
+        monkeypatch.setattr(perf, "calibrate", lambda: next(calibrations))
+
+        def fake_explore(scenario, *, jobs, **bounds):
+            return ExploreResult(scenario=scenario, explored=4, exhausted=True)
+
+        monkeypatch.setattr(repro.explore, "explore", fake_explore)
+        cases, failures = perf._case_explorer("s", (1, 2))
+        assert failures == []
+        assert [
+            (
+                case["calibration_before_seconds"],
+                case["calibration_after_seconds"],
+                case["calibration_seconds"],
+            )
+            for case in cases
+        ] == [(0.01, 0.03, pytest.approx(0.02)), (0.02, 0.04, pytest.approx(0.03))]
 
     def test_repo_baseline_is_committed(self):
         assert perf.default_baseline_path().exists(), (
