@@ -198,11 +198,28 @@ def _case_causality_chain5(rounds: int) -> dict:
     }
 
 
+#: Simulated totals of the sim_propagate_3x8x40 run: events, intra- and
+#: inter-system messages, application operations and the sha256 of
+#: ``dumps_history`` of the whole recorded history. A hot-path change
+#: that moves one event fails the gated case.
+SIM_PROPAGATE_TOTALS = dict(
+    events=21_678,
+    intra_messages=18_216,
+    inter_messages=1_518,
+    operations=960,
+    history_sha256="8d36244e4cefe6d1c8bd64d2d21388d4743de7430d1f2626a2249e3229da37dc",
+)
+
+
 def _case_sim_propagate(rounds: int) -> dict:
     """Build and run three vector-causal systems of 8 x 40 ops (write
     ratio 0.8) in a star to quiescence: kernel, channels, protocol and IS
     bridge, no checker. The verdict is the n+m-1 messages-per-write
-    closed form of §6."""
+    closed form of §6 and the totals pinned in
+    :data:`SIM_PROPAGATE_TOTALS`."""
+    import hashlib
+
+    from repro.trace import dumps_history
     from repro.workloads import WorkloadSpec, build_interconnected
     from repro.workloads.scenarios import run_until_quiescent
 
@@ -219,16 +236,25 @@ def _case_sim_propagate(rounds: int) -> dict:
     intra, inter = connection.intra_system_messages, connection.inter_system_messages
     closed_form = connection.total_app_mcs + len(result.systems) - 1
     events = result.sim.events_processed
+    totals = dict(
+        events=events,
+        intra_messages=intra,
+        inter_messages=inter,
+        operations=len(result.global_history),
+        history_sha256=hashlib.sha256(
+            dumps_history(result.recorder.history()).encode("utf-8")
+        ).hexdigest(),
+    )
     return {
         "name": "sim_propagate_3x8x40",
         "seconds": seconds,
         "calibration_seconds": calibration,
-        "events": events,
         "messages": intra + inter,
         "events_per_s": events / seconds,
         "messages_per_s": (intra + inter) / seconds,
-        "ok": intra + inter == closed_form * writes,
+        "ok": intra + inter == closed_form * writes and totals == SIM_PROPAGATE_TOTALS,
         "gate": True,
+        **totals,
     }
 
 

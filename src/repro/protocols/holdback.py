@@ -28,21 +28,35 @@ class CausalHoldBack:
             self.max_buffered = len(self._buffer)
 
     def arrive(self, message: Any, ready: Ready, apply: Apply) -> None:
-        """Take a received *message*: :meth:`add` it, then :meth:`drain`.
+        """Take a received *message*: apply it at once if it finds the
+        buffer empty and is ready (:meth:`passed`), else :meth:`hold` it.
 
-        At an empty buffer the drain's first pass would test *message*
-        alone, so it is tested here instead: applied at once if ready
-        (no snapshot, no removal, no empty second pass), else kept.
+        At an empty buffer a drain's first pass would test *message*
+        alone, so it is tested here instead: no snapshot, no removal, no
+        empty second pass. A caller may inline this test with its own
+        readiness check, as :class:`~repro.protocols.vector.VectorCausalMCS`
+        does to build no bound methods per message.
         """
-        if self._buffer:
-            self.add(message)
-            self.drain(ready, apply)
-        elif ready(message):
-            if not self.max_buffered:
-                self.max_buffered = 1
-            apply(message)
+        if self._buffer or not ready(message):
+            self.hold(message, ready, apply)
         else:
-            self.add(message)
+            self.passed()
+            apply(message)
+
+    def passed(self) -> None:
+        """Account for a message applied on arrival at an empty buffer:
+        it occupied the buffer for an instant."""
+        if not self.max_buffered:
+            self.max_buffered = 1
+
+    def hold(self, message: Any, ready: Ready, apply: Apply) -> None:
+        """Buffer a message that was not applied on arrival. Behind other
+        held messages it is tested by a :meth:`drain`; alone, it was
+        tested already and is not ready."""
+        waiting = bool(self._buffer)
+        self.add(message)
+        if waiting:
+            self.drain(ready, apply)
 
     def release(self, ready: Ready, apply: Apply) -> bool:
         """One pass over a snapshot of the buffer, in arrival order.

@@ -40,7 +40,7 @@ from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.messages import CausalUpdate
 from repro.protocols.sequencer import Sequencer
 from repro.protocols.vector import VectorCausalMCS
-from repro.sim.clock import VectorClock
+from repro.sim.clock import VectorClock, advance, freeze, merge_into
 
 
 @dataclass(frozen=True)
@@ -90,9 +90,9 @@ class HybridMCS(VectorCausalMCS):
 
     def _handle_strong_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
         """Strong write: sequenced, causally timestamped, blocking."""
-        self._clock = self._clock.increment(self.proc_index)
+        advance(self._clock, self.proc_index)
         request = StrongRequest(
-            var=var, value=value, ts=self._clock,
+            var=var, value=value, ts=freeze(self._clock),
             sender_index=self.proc_index, origin=self.name,
         )
         self._sequencer.wait(var, value, done)
@@ -147,7 +147,7 @@ class HybridMCS(VectorCausalMCS):
             # Merge, not increment: a writer's own strong write is
             # already in its clock.
             MCSProcess._commit(self, update)
-            self._clock = self._clock.merge(update.ts)
+            merge_into(self._clock, update.ts)
             self.strong_apply_log.append((update.var, update.value))
         else:
             super()._commit(update)

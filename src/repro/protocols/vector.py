@@ -24,7 +24,7 @@ from repro.memory.interface import MCSProcess
 from repro.protocols.base import ProtocolSpec, register
 from repro.protocols.holdback import CausalHoldBack
 from repro.protocols.messages import CausalUpdate
-from repro.sim.clock import VectorClock
+from repro.sim.clock import VectorClock, advance, causally_ready, freeze
 
 
 class VectorCausalMCS(MCSProcess):
@@ -32,17 +32,19 @@ class VectorCausalMCS(MCSProcess):
 
     def __init__(self, **kwargs: Any) -> None:
         super().__init__(**kwargs)
-        self._clock = VectorClock()
+        #: The applied clock, as counters (:mod:`repro.sim.clock`): an
+        #: apply advances it in place; only a write freezes a timestamp.
+        self._clock: list[int] = []
         self._holdback = CausalHoldBack()
 
     # -- call handling -----------------------------------------------------
 
     def _handle_write(self, var: str, value: Any, done: Callable[[], None]) -> None:
-        self._clock = self._clock.increment(self.proc_index)
+        advance(self._clock, self.proc_index)
         update = CausalUpdate(
             var=var,
             value=value,
-            ts=self._clock,
+            ts=freeze(self._clock),
             sender_index=self.proc_index,
             sender_name=self.name,
         )
@@ -52,26 +54,35 @@ class VectorCausalMCS(MCSProcess):
 
     @property
     def clock(self) -> VectorClock:
-        return self._clock
+        """The applied clock as a timestamp (for tracers and tests)."""
+        return freeze(self._clock)
 
     def state_key(self) -> tuple:
-        return self._replica_key() + (self._clock, self._holdback.state_key())
+        # The counters have no trailing zero, so equal clocks key equal.
+        return self._replica_key() + (tuple(self._clock), self._holdback.state_key())
 
     # -- update propagation -------------------------------------------------
 
     def _on_message(self, src: str, payload: Any) -> None:
         if not isinstance(payload, CausalUpdate):
             raise TypeError(f"{self.name}: unexpected payload {payload!r}")
-        self._holdback.arrive(payload, self._ready, self._apply_with_upcalls)
+        # CausalHoldBack.arrive with the readiness test inlined: an update
+        # that finds the buffer empty and is ready builds no bound methods.
+        holdback = self._holdback
+        if holdback._buffer or not causally_ready(payload.ts, payload.sender_index, self._clock):
+            holdback.hold(payload, self._ready, self._apply_with_upcalls)
+        else:
+            holdback.passed()
+            self._apply_with_upcalls(payload)
 
     def _ready(self, update: CausalUpdate) -> bool:
-        return update.ts.causally_ready(self._clock, update.sender_index)
+        return causally_ready(update.ts, update.sender_index, self._clock)
 
     def _commit(self, update: CausalUpdate) -> None:
-        super()._commit(update)
+        MCSProcess._commit(self, update)
         # A causally ready update is one write ahead of the clock at its
         # sender's entry and nowhere else: merging is incrementing.
-        self._clock = self._clock.increment(update.sender_index)
+        advance(self._clock, update.sender_index)
 
 
 VECTOR_CAUSAL = register(

@@ -4,12 +4,21 @@ Vector clocks are the workhorse of the causal MCS protocols
 (:mod:`repro.protocols.vector`): a write is applied at a replica only when
 it is *causally ready* with respect to the replica's clock. Lamport clocks
 provide the total-order tiebreaker used by the sequential protocol.
+
+A clock comes in two forms. A message timestamp is a frozen
+:class:`VectorClock`: immutable, hashable, safe to share. A replica's
+applied clock is a mutable list of *counters* owned by its process,
+indexed by process, with no trailing zero: :func:`advance` and
+:func:`merge_into` change it in place, :func:`causally_ready` tests a
+timestamp against it, and :func:`freeze` makes a timestamp of it, once
+per write instead of once per apply.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from operator import gt
+from typing import Iterable, Iterator, Mapping, Sequence
 
 
 def _index(proc: int) -> int:
@@ -79,22 +88,9 @@ class VectorClock:
 
     def causally_ready(self, clock: "VectorClock", sender: int) -> bool:
         """True when a message timestamped *self* by *sender* may be
-        applied at a replica whose clock is *clock*.
-
-        Ready iff *sender*'s entry is the next one *clock* expects and no
-        other entry is ahead of *clock*: every write the message depends
-        on has been applied. This is the hold-back predicate shared by
-        every vector-clock protocol.
-        """
-        counts = self._counts
-        if not 0 <= sender < len(counts):
-            _index(sender)  # raises for a negative index
-            return False
-        local = clock._counts + (0,) * (len(counts) - len(clock._counts))
-        if counts[sender] != local[sender] + 1:
-            return False
-        # The sender's entry is the one position where counts exceeds local.
-        return sum(map(int.__gt__, counts, local)) == 1
+        applied at a replica whose clock is *clock* (see
+        :func:`causally_ready`)."""
+        return causally_ready(self, sender, clock._counts)
 
     def __le__(self, other: "VectorClock") -> bool:
         return other.dominates(self)
@@ -133,6 +129,67 @@ class VectorClock:
         return result
 
 
+def causally_ready(ts: VectorClock, sender: int, counts: Sequence[int]) -> bool:
+    """True when a message timestamped *ts* by *sender* may be applied at
+    a replica whose applied clock is *counts*.
+
+    Ready iff *sender*'s entry is the next one *counts* expects and no
+    other entry is ahead of *counts*: every write the message depends on
+    has been applied. This is the hold-back predicate shared by every
+    vector-clock protocol. *counts* may be shorter or longer than the
+    timestamp, and may end in zeros; an absent entry is zero.
+    """
+    stamp = ts._counts
+    length = len(stamp)
+    if 0 <= sender < length <= len(counts):
+        # The sender's entry is the one position where the stamp exceeds
+        # the counters.
+        return stamp[sender] == counts[sender] + 1 and sum(map(gt, stamp, counts)) == 1
+    if not 0 <= sender < length:
+        _index(sender)  # raises for a negative index
+        return False
+    # The canonical stamp ends past the counters, at a nonzero entry:
+    # ready only if that is the sender's first write, with nothing ahead
+    # of the counters before it.
+    return (
+        length == sender + 1
+        and stamp[sender] == 1
+        and not any(stamp[len(counts):sender])
+        and not any(map(gt, stamp, counts))
+    )
+
+
+def advance(counts: list[int], proc: int) -> None:
+    """Increment *proc*'s counter in place, growing *counts* to reach it.
+
+    At a replica this is both a local write and the apply of a causally
+    ready update from *proc*: merging a ready timestamp changes only the
+    sender's entry, by one.
+    """
+    if not 0 <= proc < len(counts):
+        counts.extend([0] * (_index(proc) + 1 - len(counts)))
+    counts[proc] += 1
+
+
+def merge_into(counts: list[int], ts: VectorClock) -> None:
+    """Raise *counts* in place to the pointwise maximum with *ts*."""
+    stamp = ts._counts
+    if len(stamp) > len(counts):
+        counts.extend([0] * (len(stamp) - len(counts)))
+    for proc, count in enumerate(stamp):
+        if count > counts[proc]:
+            counts[proc] = count
+
+
+def freeze(counts: Sequence[int]) -> VectorClock:
+    """The timestamp of *counts*: a :class:`VectorClock` with equal
+    entries, trailing zeros stripped."""
+    end = len(counts)
+    while end and not counts[end - 1]:
+        end -= 1
+    return VectorClock._of(tuple(counts[:end]) if end < len(counts) else tuple(counts))
+
+
 @dataclass(frozen=True, order=True)
 class LamportTimestamp:
     """A Lamport timestamp: (counter, process id) totally ordered pairs."""
@@ -165,4 +222,12 @@ class LamportClock:
         return LamportTimestamp(self._counter, self._proc)
 
 
-__all__ = ["VectorClock", "LamportClock", "LamportTimestamp"]
+__all__ = [
+    "VectorClock",
+    "LamportClock",
+    "LamportTimestamp",
+    "advance",
+    "causally_ready",
+    "freeze",
+    "merge_into",
+]

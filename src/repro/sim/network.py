@@ -44,6 +44,9 @@ class Network:
         self.name = name
         self._nodes: dict[str, _Node] = {}
         self._channels: dict[tuple[str, str], ReliableFifoChannel] = {}
+        #: Per source, its (destination, channel) pairs in node-registration
+        #: order; built on the source's first broadcast.
+        self._fanouts: dict[str, list[tuple[str, ReliableFifoChannel]]] = {}
         self._delays: dict[tuple[str, str], DelayModel] = {}
         self.messages_sent = 0
 
@@ -57,6 +60,7 @@ class Network:
         if node_id in self._nodes:
             raise ConfigurationError(f"duplicate node id {node_id!r} on network {self.name!r}")
         self._nodes[node_id] = _Node(deliver, segment)
+        self._fanouts.clear()
 
     def has_node(self, node_id: str) -> bool:
         return node_id in self._nodes
@@ -82,32 +86,43 @@ class Network:
         """Send *payload* from node *src* to node *dst* (FIFO per pair)."""
         channel = self._channels.get((src, dst)) or self._channel(src, dst)
         self.messages_sent += 1
-        tracer = self.sim.tracer
-        if tracer is not None:
-            tracer.emit(
-                self.sim.now,
-                "net.send",
-                src,
-                network=self.name,
-                dst=dst,
-                src_segment=self._nodes[src].segment,
-                dst_segment=self._nodes[dst].segment,
-                payload=payload,
-            )
+        if self.sim.tracer is not None:
+            self._trace_send(src, dst, payload)
         channel.send(payload)
 
     def broadcast(self, src: str, payload: Any) -> int:
         """Send *payload* to every other node; returns the message count.
 
         This models the propagation-based MCS protocols' update broadcast:
-        x MCS-processes => x - 1 messages per write (§6).
+        x MCS-processes => x - 1 messages per write (§6). The sends go in
+        node-registration order, as :meth:`send` would make them one by one.
         """
-        count = 0
-        for node_id in self._nodes:
-            if node_id != src:
-                self.send(src, node_id, payload)
-                count += 1
-        return count
+        fanout = self._fanouts.get(src)
+        if fanout is None:
+            fanout = self._fanouts[src] = [
+                (dst, self._channels.get((src, dst)) or self._channel(src, dst))
+                for dst in self._nodes
+                if dst != src
+            ]
+        self.messages_sent += len(fanout)
+        traced = self.sim.tracer is not None
+        for dst, channel in fanout:
+            if traced:
+                self._trace_send(src, dst, payload)
+            channel.send(payload)
+        return len(fanout)
+
+    def _trace_send(self, src: str, dst: str, payload: Any) -> None:
+        self.sim.tracer.emit(
+            self.sim.now,
+            "net.send",
+            src,
+            network=self.name,
+            dst=dst,
+            src_segment=self._nodes[src].segment,
+            dst_segment=self._nodes[dst].segment,
+            payload=payload,
+        )
 
     def close(self) -> None:
         """Drop the nodes and channels once the run is over: their deliver
@@ -115,6 +130,7 @@ class Network:
         network. :attr:`messages_sent` stays readable."""
         self._nodes.clear()
         self._channels.clear()
+        self._fanouts.clear()
 
     def _channel(self, src: str, dst: str) -> ReliableFifoChannel:
         """Build the src->dst channel on its first message; only then are

@@ -1,9 +1,9 @@
-"""Property-based tests for vector clocks."""
+"""Property-based tests for vector clocks and replica counters."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.clock import VectorClock
+from repro.sim.clock import VectorClock, advance, causally_ready, freeze, merge_into
 
 entries = st.dictionaries(st.integers(0, 7), st.integers(0, 20), max_size=6)
 clocks = entries.map(VectorClock)
@@ -203,6 +203,119 @@ def test_merging_a_ready_timestamp_is_incrementing(case):
     assert ts.causally_ready(local, sender) == (local.merge(ts) == local.increment(sender))
 
 
+# -- oracle: replica counters against the naive definitions ----------------
+#
+# A replica's applied clock is a mutable list of counters, tested against
+# frozen timestamps without padding. The oracle reads both as plain
+# dicts of entries, an absent entry being zero; it pads nothing and calls
+# none of the library's clock code but the constructor.
+
+
+def _entry(counts, proc):
+    return counts[proc] if proc < len(counts) else 0
+
+
+def _naive_ready(stamp, sender, counts):
+    """The sender's entry is exactly one ahead, no other entry is ahead."""
+    if stamp.get(sender, 0) != _entry(counts, sender) + 1:
+        return False
+    return all(
+        count <= _entry(counts, proc) for proc, count in stamp.items() if proc != sender
+    )
+
+
+def _naive_values(counts, width):
+    return [_entry(counts, proc) for proc in range(width)]
+
+
+counter_lists = st.lists(st.integers(0, 4), max_size=MAX_PROC + 1)
+
+
+@st.composite
+def counters_and_stamps(draw):
+    """Counters (possibly ending in zeros), a sender and a timestamp of a
+    width drawn independently of theirs: no entry behind the counters
+    but the sender's within reach of the next one, and sometimes one
+    entry ahead, so every branch of the test is taken."""
+    counts = draw(counter_lists)
+    sender = draw(st.integers(0, MAX_PROC + 1))
+    width = draw(st.integers(0, MAX_PROC + 2))
+    stamp = {proc: draw(st.integers(0, _entry(counts, proc))) for proc in range(width)}
+    stamp[sender] = _entry(counts, sender) + draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        ahead = draw(st.integers(0, MAX_PROC + 2))
+        stamp[ahead] = stamp.get(ahead, 0) + 1
+    return counts, stamp, sender
+
+
+@settings(max_examples=500, deadline=None)
+@given(counters_and_stamps())
+def test_oracle_counter_readiness(case):
+    counts, entries, sender = case
+    stamp = VectorClock(entries)
+    expected = _naive_ready(entries, sender, counts)
+    before = list(counts)
+    assert causally_ready(stamp, sender, counts) == expected
+    assert counts == before
+    assert stamp.causally_ready(VectorClock(dict(enumerate(counts))), sender) == expected
+
+
+@settings(max_examples=500, deadline=None)
+@given(counters_and_stamps())
+def test_oracle_ready_apply_is_merge(case):
+    counts, entries, sender = case
+    stamp = VectorClock(entries)
+    width = max(len(counts), max(entries, default=-1) + 1)
+    merged = [max(_entry(counts, proc), entries.get(proc, 0)) for proc in range(width)]
+    into = list(counts)
+    merge_into(into, stamp)
+    assert _naive_values(into, width) == merged
+    if _naive_ready(entries, sender, counts):
+        advance(counts, sender)
+        assert _naive_values(counts, width) == merged
+        assert freeze(counts) == VectorClock(dict(enumerate(counts))).merge(stamp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(counter_lists)
+def test_oracle_frozen_stamp(counts):
+    stamp = freeze(counts)
+    stripped = list(counts)
+    while stripped and not stripped[-1]:
+        stripped.pop()
+    expected = VectorClock({proc: count for proc, count in enumerate(stripped)})
+    assert stamp == expected and hash(stamp) == hash(expected)
+    assert [stamp.get(proc) for proc in range(len(counts) + 2)] == counts + [0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.tuples(st.just("advance"), procs),
+            st.tuples(st.just("merge"), sparse_entries),
+        ),
+        max_size=25,
+    )
+)
+def test_oracle_counter_chains(steps):
+    # Counters grown only by advance and merge_into never end in a zero,
+    # so tuple(counts) -- the state key of a replica clock -- is equal
+    # and hashes equal exactly when the clocks are.
+    counts, ref = [], RefClock()
+    for op, arg in steps:
+        if op == "advance":
+            advance(counts, arg)
+            ref = ref.increment(arg)
+        else:
+            merge_into(counts, VectorClock(arg))
+            ref = ref.merge(RefClock(arg))
+        assert not counts or counts[-1]
+        assert {proc: count for proc, count in enumerate(counts) if count} == ref.entries
+        frozen = freeze(counts)
+        assert tuple(counts) == tuple(frozen.get(proc) for proc in range(len(counts)))
+
+
 def test_explicit_zero_entries_equal_the_empty_clock():
     assert VectorClock({3: 0}) == VectorClock()
     assert hash(VectorClock({3: 0})) == hash(VectorClock())
@@ -221,8 +334,10 @@ def test_explicit_zero_entries_equal_the_empty_clock():
         lambda: VectorClock({0: 1}).get(-1),
         lambda: VectorClock().increment(-1),
         lambda: VectorClock({0: 1}).causally_ready(VectorClock(), -1),
+        lambda: causally_ready(VectorClock({0: 1}), -1, [0]),
+        lambda: advance([1], -1),
     ],
-    ids=["init", "init-zero", "get", "increment", "causally_ready"],
+    ids=["init", "init-zero", "get", "increment", "causally_ready", "counters-ready", "advance"],
 )
 def test_negative_process_index_raises(call):
     with pytest.raises(ValueError):

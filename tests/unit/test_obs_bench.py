@@ -198,6 +198,16 @@ class TestPerfSuite:
             for case in cases
         ] == [(0.01, 0.03, pytest.approx(0.02)), (0.02, 0.04, pytest.approx(0.03))]
 
+    def test_sim_propagate_case_pins_its_totals(self, monkeypatch):
+        case = perf._case_sim_propagate(1)
+        assert case["ok"]
+        assert {key: case[key] for key in perf.SIM_PROPAGATE_TOTALS} == perf.SIM_PROPAGATE_TOTALS
+        # One event more in the pin, as a hot-path change moving one
+        # event would read, fails the case.
+        moved = {**perf.SIM_PROPAGATE_TOTALS, "events": case["events"] + 1}
+        monkeypatch.setattr(perf, "SIM_PROPAGATE_TOTALS", moved)
+        assert not perf._case_sim_propagate(1)["ok"]
+
     def test_repo_baseline_is_committed(self):
         assert perf.default_baseline_path().exists(), (
             "benchmarks/perf_baseline.json must be committed for the "
