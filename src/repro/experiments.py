@@ -32,6 +32,7 @@ from repro.sim.channel import (
 )
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, build_interconnected, populate_system
+from repro.workloads.scenarios import App, Cast, Member, build
 from repro.workloads.scenarios import (
     lemma1_scenario,
     poll_until,
@@ -58,15 +59,13 @@ def _run_alone(
     return system, system.recorder.history(), meter
 
 
-def _two_systems(
-    seed: int = 0, protocol: str = "vector-causal"
-) -> tuple[Simulator, HistoryRecorder, list[DSMSystem]]:
-    """Systems S0 and S1 of *protocol*, seeded *seed* and *seed* + 1, on
+def _two_systems(seed: int = 0) -> tuple[Simulator, HistoryRecorder, list[DSMSystem]]:
+    """Vector-causal systems S0 and S1, seeded *seed* and *seed* + 1, on
     one simulator and one recorder."""
     sim = Simulator()
     recorder = HistoryRecorder()
     systems = [
-        DSMSystem(sim, f"S{index}", get(protocol), recorder=recorder, seed=seed + index)
+        DSMSystem(sim, f"S{index}", get("vector-causal"), recorder=recorder, seed=seed + index)
         for index in range(2)
     ]
     return sim, recorder, systems
@@ -156,23 +155,16 @@ def latency_tree(
     d: float = LATENCY_D,
 ) -> float:
     """Worst visibility latency of *m* systems in a star or chain."""
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    systems = [
-        DSMSystem(
-            sim, f"S{index}", get("vector-causal"), recorder=recorder,
-            seed=index, default_delay=l,
-        )
-        for index in range(m)
-    ]
     writer_system = 1 if topology == "star" else 0
-    systems[writer_system].add_application("writer", [Sleep(1.0), Write("x", 1)])
-    for index in range(m):
-        if index != writer_system:
-            systems[index].add_application("probe", [])
-    interconnect(systems, topology=topology, delay=d, shared=shared)
-    tracker = VisibilityTracker().attach_systems(systems)
-    run_until_quiescent(sim, systems)
+    writer = App("writer", (Sleep(1.0), Write("x", 1)))
+    probe = App("probe", ())
+    members = tuple(
+        Member(get("vector-causal"), l, (writer if index == writer_system else probe,))
+        for index in range(m)
+    )
+    result = build(Cast(members, delay=d, topology=topology, shared=shared))
+    tracker = VisibilityTracker().attach_systems(result.systems)
+    run_until_quiescent(result.sim, result.systems)
     return tracker.worst_latency()
 
 
@@ -262,12 +254,11 @@ def sequential_bridge_random(seed: int) -> tuple[bool, bool]:
 
 def sequential_bridge_dekker() -> tuple[bool, bool]:
     """(causal?, sequential?) of the cross-system Dekker race."""
-    sim, recorder, (s0, s1) = _two_systems(protocol="aw-sequential")
-    s0.add_application("A", [Write("x", 1), Read("y")])
-    s1.add_application("B", [Write("y", 2), Read("x")])
-    interconnect([s0, s1], delay=5.0)
-    run_until_quiescent(sim, [s0, s1])
-    history = recorder.history().without_interconnect()
+    s0 = Member(get("aw-sequential"), 1.0, (App("A", (Write("x", 1), Read("y"))),))
+    s1 = Member(get("aw-sequential"), 1.0, (App("B", (Write("y", 2), Read("x"))),))
+    result = build(Cast((s0, s1), delay=5.0, topology="star"))
+    run_until_quiescent(result.sim, result.systems)
+    history = result.global_history
     return check_causal(history).ok, check_sequential(history).ok
 
 

@@ -9,12 +9,16 @@
   IS-protocol 1, and in order under IS-protocol 2.
 * :func:`build_interconnected` / :func:`run_until_quiescent` — the
   generic harness used by the integration tests and benchmarks.
+* :class:`Cast` / :func:`build` — a scenario as data (systems, programs,
+  links) and the one builder that assembles it: every scenario here but
+  the random harness, and every entry of the explorer's catalogue.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterator, Optional, Sequence
+import functools
+from dataclasses import dataclass, replace
+from typing import Any, Iterator, Optional, Sequence, Union
 
 from repro.errors import SimulationError
 from repro.interconnect.is_process import ISProcess
@@ -24,6 +28,7 @@ from repro.memory.program import Command, Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import base as protocol_base
+from repro.protocols.base import ProtocolSpec, get
 from repro.sim.core import Simulator
 from repro.workloads.generator import WorkloadSpec, populate_system
 from repro.workloads.values import ValueFactory
@@ -116,6 +121,85 @@ def poll_until(
         yield command
 
 
+@dataclass(frozen=True)
+class Poll:
+    """A :func:`poll_until` program as data: a generator can be neither
+    rebuilt nor pickled, so a cast holds this and :func:`build` starts it."""
+
+    var: str
+    expected: Any
+    then: tuple[Command, ...]
+    poll_interval: float = 1.0
+    max_polls: int = 200
+
+
+@dataclass(frozen=True)
+class App:
+    """An application process of a cast; *program* is a tuple of
+    commands or a :class:`Poll`."""
+
+    name: str
+    program: Union[tuple[Command, ...], Poll]
+    start_delay: float = 0.0
+
+
+@dataclass(frozen=True)
+class Member:
+    """A system of a cast: its protocol, default link delay, application
+    processes and slower links, each as (from app, to app, delay)."""
+
+    protocol: ProtocolSpec
+    delay: float
+    apps: tuple[App, ...]
+    slow_links: tuple[tuple[str, str, float], ...] = ()
+
+
+@dataclass(frozen=True)
+class Cast:
+    """A hand-written scenario as data. *delay* and the fields after it
+    configure :func:`interconnect` when there are two or more systems."""
+
+    systems: tuple[Member, ...]
+    delay: float
+    topology: str = "chain"
+    shared: bool = True
+    read_before_send: bool = True
+    use_pre_update: Optional[bool] = None
+
+
+def build(cast: Cast, seed: int = 0) -> ScenarioResult:
+    """Assemble *cast* on a fresh simulator and recorder; does not run it.
+
+    System *i* is named ``S{i}`` and seeded ``seed + i``, the bridges from
+    *seed*. All systems are created first, then the processes in order."""
+    sim = Simulator()
+    recorder = HistoryRecorder()
+    systems = [
+        DSMSystem(sim, f"S{index}", member.protocol, recorder, seed=seed + index,
+                  default_delay=member.delay)
+        for index, member in enumerate(cast.systems)
+    ]
+    for system, member in zip(systems, cast.systems):
+        apps = {}
+        for app in member.apps:
+            program = app.program
+            if isinstance(program, Poll):
+                program = poll_until(program.var, program.expected, program.then,
+                                     program.poll_interval, program.max_polls)
+            apps[app.name] = system.add_application(app.name, program,
+                                                    start_delay=app.start_delay)
+        for source, target, delay in member.slow_links:
+            system.network.set_delay(apps[source].mcs.name, apps[target].mcs.name, delay)
+    connection: Optional[Interconnection] = None
+    if len(systems) > 1:
+        connection = interconnect(
+            systems, topology=cast.topology, delay=cast.delay, shared=cast.shared,
+            read_before_send=cast.read_before_send, use_pre_update=cast.use_pre_update,
+            seed=seed,
+        )
+    return ScenarioResult(sim=sim, systems=systems, interconnection=connection, recorder=recorder)
+
+
 def build_interconnected(
     protocol_names: Sequence[str],
     spec: WorkloadSpec,
@@ -180,28 +264,13 @@ def section3_counterexample(read_before_send: bool, seed: int = 0) -> ScenarioRe
     returns to S0 causally untethered and the distant reader observes
     ``u`` before ``v`` — exactly the violation the paper describes.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    spec = protocol_base.get("precise-causal")
-    s0 = DSMSystem(sim, "S0", spec, recorder=recorder, seed=seed, default_delay=1.0)
-    s1 = DSMSystem(sim, "S1", protocol_base.get("vector-causal"), recorder=recorder, seed=seed + 1)
-
-    writer = s0.add_application(
-        "S0/writer", [Sleep(1.0), Write("x", "v")], start_delay=0.0
-    )
-    reader = s0.add_application("S0/reader", [Read("x"), Sleep(3.0)] * 18, start_delay=5.0)
+    writer = App("S0/writer", (Sleep(1.0), Write("x", "v")))
+    reader = App("S0/reader", (Read("x"), Sleep(3.0)) * 18, start_delay=5.0)
     # The writer's updates reach the distant reader very late.
-    s0.network.set_delay(writer.mcs.name, reader.mcs.name, 40.0)
-
-    s1.add_application(
-        "S1/overwriter",
-        poll_until("x", "v", then=[Write("x", "u")], poll_interval=1.0),
-        start_delay=0.0,
-    )
-    connection = interconnect(
-        [s0, s1], topology="chain", delay=1.0, read_before_send=read_before_send, seed=seed
-    )
-    return ScenarioResult(sim=sim, systems=[s0, s1], interconnection=connection, recorder=recorder)
+    s0 = Member(get("precise-causal"), 1.0, (writer, reader), (("S0/writer", "S0/reader", 40.0),))
+    overwriter = App("S1/overwriter", Poll("x", "v", (Write("x", "u"),)))
+    s1 = Member(get("vector-causal"), 1.0, (overwriter,))
+    return build(Cast((s0, s1), delay=1.0, read_before_send=read_before_send), seed)
 
 
 def lemma1_scenario(use_pre_update: bool, lag_seed: int = 0, seed: int = 0) -> ScenarioResult:
@@ -213,29 +282,14 @@ def lemma1_scenario(use_pre_update: bool, lag_seed: int = 0, seed: int = 0) -> S
     S1 whose reader sees ``u`` without ``v``; under IS-protocol 2 the
     pre-update reads force causal application order and S^T stays causal.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    delayed = protocol_base.get("delayed-causal").with_options(max_lag=6.0, lag_seed=lag_seed)
-    s0 = DSMSystem(sim, "S0", delayed, recorder=recorder, seed=seed, default_delay=1.0)
-    s1 = DSMSystem(sim, "S1", protocol_base.get("vector-causal"), recorder=recorder, seed=seed + 1)
-
-    s0.add_application("S0/writerA", [Sleep(1.0), Write("x", "v")])
-    s0.add_application(
-        "S0/writerB",
-        poll_until("x", "v", then=[Write("y", "u")], poll_interval=0.5),
-    )
-    s1.add_application(
-        "S1/observer",
-        poll_until("y", "u", then=[Read("x")], poll_interval=0.5, max_polls=120),
-    )
-    connection = interconnect(
-        [s0, s1],
-        topology="chain",
-        delay=0.5,
-        use_pre_update=use_pre_update,
-        seed=seed,
-    )
-    return ScenarioResult(sim=sim, systems=[s0, s1], interconnection=connection, recorder=recorder)
+    delayed = get("delayed-causal").with_options(max_lag=6.0, lag_seed=lag_seed)
+    s0 = Member(delayed, 1.0, (
+        App("S0/writerA", (Sleep(1.0), Write("x", "v"))),
+        App("S0/writerB", Poll("x", "v", (Write("y", "u"),), poll_interval=0.5)),
+    ))
+    observer = Poll("y", "u", (Read("x"),), poll_interval=0.5, max_polls=120)
+    s1 = Member(get("vector-causal"), 1.0, (App("S1/observer", observer),))
+    return build(Cast((s0, s1), delay=0.5, use_pre_update=use_pre_update), seed)
 
 
 def fifo_causality_violation(seed: int = 0) -> ScenarioResult:
@@ -246,18 +300,12 @@ def fifo_causality_violation(seed: int = 0) -> ScenarioResult:
     process's writes are seen in order — but causality does not, which is
     what separates the two checkers in the negative-control tests.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    system = DSMSystem(
-        sim, "S0", protocol_base.get("fifo-apply"), recorder=recorder, seed=seed, default_delay=1.0
-    )
-    writer = system.add_application("A", [Sleep(1.0), Write("x", "1")])
-    system.add_application("B", poll_until("x", "1", then=[Write("y", "2")], poll_interval=0.5))
-    observer_app = system.add_application(
-        "C", poll_until("y", "2", then=[Read("x")], poll_interval=0.5, max_polls=100)
-    )
-    system.network.set_delay(writer.mcs.name, observer_app.mcs.name, 50.0)
-    return ScenarioResult(sim=sim, systems=[system], interconnection=None, recorder=recorder)
+    system = Member(get("fifo-apply"), 1.0, (
+        App("A", (Sleep(1.0), Write("x", "1"))),
+        App("B", Poll("x", "1", (Write("y", "2"),), poll_interval=0.5)),
+        App("C", Poll("y", "2", (Read("x"),), poll_interval=0.5, max_polls=100)),
+    ), slow_links=(("A", "C", 50.0),))
+    return build(Cast((system,), delay=1.0), seed)
 
 
 def scrambled_pram_violation(lag_seed: int = 2, seed: int = 0) -> ScenarioResult:
@@ -268,20 +316,28 @@ def scrambled_pram_violation(lag_seed: int = 2, seed: int = 0) -> ScenarioResult
     reads then see the writes out of the writer's program order. Whether
     the inversion happens depends on *lag_seed*; seed 2 exhibits it.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    spec = protocol_base.get("scrambled-apply").with_options(max_lag=8.0, lag_seed=lag_seed)
-    system = DSMSystem(sim, "S0", spec, recorder=recorder, seed=seed, default_delay=1.0)
-    system.add_application("A", [Sleep(1.0), Write("x", "1"), Write("x", "2")])
-    system.add_application("C", [Read("x"), Sleep(1.0)] * 12)
-    return ScenarioResult(sim=sim, systems=[system], interconnection=None, recorder=recorder)
+    scrambled = get("scrambled-apply").with_options(max_lag=8.0, lag_seed=lag_seed)
+    system = Member(scrambled, 1.0, (
+        App("A", (Sleep(1.0), Write("x", "1"), Write("x", "2"))),
+        App("C", (Read("x"), Sleep(1.0)) * 12),
+    ))
+    return build(Cast((system,), delay=1.0), seed)
 
 
-def small_bridge_scenario(
-    use_pre_update: bool,
-    read_before_send: bool = True,
-    seed: int = 0,
-) -> ScenarioResult:
+# The explorer's casts (:mod:`repro.explore.scenarios`) are module constants:
+# the explorer rebuilds its scenario for every run, and a cast constructed
+# per call would add its own cost to each rebuild.
+
+_VECTOR = get("vector-causal")
+_READ_TWICE = (Read("x"), Read("x"))
+SMALL_BRIDGE_P1 = Cast((
+    Member(_VECTOR, 0.0, (App("S0/p0", (Write("x", "a"),)), App("S0/p1", _READ_TWICE))),
+    Member(_VECTOR, 0.0, (App("S1/q0", (Write("x", "c"),)), App("S1/q1", _READ_TWICE))),
+), delay=0.0, use_pre_update=False)
+SMALL_BRIDGE_P2 = replace(SMALL_BRIDGE_P1, use_pre_update=True)
+
+
+def small_bridge_scenario(use_pre_update: bool, seed: int = 0) -> ScenarioResult:
     """Small-scope bridge for exhaustive exploration: 2 systems x 2
     processes x 2 writes, every delay zero.
 
@@ -298,29 +354,23 @@ def small_bridge_scenario(
     apply, IS propagation and remote apply is distinguishable to the
     double readers on both sides.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    spec = protocol_base.get("vector-causal")
-    s0 = DSMSystem(sim, "S0", spec, recorder=recorder, seed=seed, default_delay=0.0)
-    s1 = DSMSystem(sim, "S1", spec, recorder=recorder, seed=seed + 1, default_delay=0.0)
-    s0.add_application("S0/p0", [Write("x", "a")])
-    s0.add_application("S0/p1", [Read("x"), Read("x")])
-    s1.add_application("S1/q0", [Write("x", "c")])
-    s1.add_application("S1/q1", [Read("x"), Read("x")])
-    connection = interconnect(
-        [s0, s1],
-        topology="chain",
-        delay=0.0,
-        use_pre_update=use_pre_update,
-        read_before_send=read_before_send,
-        seed=seed,
-    )
-    return ScenarioResult(sim=sim, systems=[s0, s1], interconnection=connection, recorder=recorder)
+    return build(SMALL_BRIDGE_P2 if use_pre_update else SMALL_BRIDGE_P1, seed)
 
 
-def small_noread_scenario(
-    read_before_send: bool, seed: int = 0, reads: int = 2, max_polls: int = 3
-) -> ScenarioResult:
+# No Sleep separates the reads: the driver's zero think-time wakeup
+# between operations is already a scheduling point the explorer can defer.
+SMALL_NOREAD = Cast((
+    Member(get("precise-causal"), 0.0, (
+        App("S0/writer", (Write("x", "v"),)), App("S0/reader", _READ_TWICE),
+    )),
+    Member(_VECTOR, 0.0, (
+        App("S1/overwriter", Poll("x", "v", (Write("x", "u"),), poll_interval=0.0, max_polls=3)),
+    )),
+), delay=0.0, read_before_send=False)
+SMALL_NOREAD_CONTROL = replace(SMALL_NOREAD, read_before_send=True)
+
+
+def small_noread_scenario(read_before_send: bool, seed: int = 0) -> ScenarioResult:
     """Zero-delay rendering of the §3 no-read ablation.
 
     Same cast as :func:`section3_counterexample` — a precise-causal S0
@@ -331,42 +381,19 @@ def small_noread_scenario(
     With ``read_before_send=True`` the IS read tethers ``u`` to ``v``
     and no interleaving can invert them.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    s0 = DSMSystem(
-        sim,
-        "S0",
-        protocol_base.get("precise-causal"),
-        recorder=recorder,
-        seed=seed,
-        default_delay=0.0,
-    )
-    s1 = DSMSystem(
-        sim,
-        "S1",
-        protocol_base.get("vector-causal"),
-        recorder=recorder,
-        seed=seed + 1,
-        default_delay=0.0,
-    )
-    s0.add_application("S0/writer", [Write("x", "v")])
-    # No Sleep separators: the driver's zero think-time wakeup between
-    # operations is already a scheduling point the explorer can defer.
-    s0.add_application("S0/reader", [Read("x")] * reads)
-    s1.add_application(
-        "S1/overwriter",
-        poll_until(
-            "x", "v", then=[Write("x", "u")], poll_interval=0.0, max_polls=max_polls
-        ),
-    )
-    connection = interconnect(
-        [s0, s1],
-        topology="chain",
-        delay=0.0,
-        read_before_send=read_before_send,
-        seed=seed,
-    )
-    return ScenarioResult(sim=sim, systems=[s0, s1], interconnection=connection, recorder=recorder)
+    return build(SMALL_NOREAD_CONTROL if read_before_send else SMALL_NOREAD, seed)
+
+
+@functools.cache
+def _small_fifo(max_polls: int) -> Cast:
+    return Cast((Member(get("fifo-apply"), 0.0, (
+        App("A", (Write("x", "1"),)),
+        App("B", Poll("x", "1", (Write("y", "2"),), poll_interval=0.0, max_polls=max_polls)),
+        App("C", Poll("y", "2", (Read("x"),), poll_interval=0.0, max_polls=max_polls)),
+    )),), delay=0.0)
+
+
+SMALL_FIFO = _small_fifo(6)
 
 
 def small_fifo_scenario(seed: int = 0, max_polls: int = 6) -> ScenarioResult:
@@ -378,34 +405,18 @@ def small_fifo_scenario(seed: int = 0, max_polls: int = 6) -> ScenarioResult:
     link delay; here every delivery is at t=0 and the explorer has to
     *choose* the inverted application order at C's replica.
     """
-    sim = Simulator()
-    recorder = HistoryRecorder()
-    system = DSMSystem(
-        sim,
-        "S0",
-        protocol_base.get("fifo-apply"),
-        recorder=recorder,
-        seed=seed,
-        default_delay=0.0,
-    )
-    system.add_application("A", [Write("x", "1")])
-    system.add_application(
-        "B",
-        poll_until(
-            "x", "1", then=[Write("y", "2")], poll_interval=0.0, max_polls=max_polls
-        ),
-    )
-    system.add_application(
-        "C",
-        poll_until("y", "2", then=[Read("x")], poll_interval=0.0, max_polls=max_polls),
-    )
-    return ScenarioResult(sim=sim, systems=[system], interconnection=None, recorder=recorder)
+    return build(_small_fifo(max_polls), seed)
 
 
 __all__ = [
     "ScenarioResult",
     "run_until_quiescent",
     "poll_until",
+    "Cast",
+    "Member",
+    "App",
+    "Poll",
+    "build",
     "build_interconnected",
     "section3_counterexample",
     "lemma1_scenario",

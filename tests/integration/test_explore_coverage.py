@@ -71,7 +71,12 @@ def test_small_fifo_sleep_sets_lose_no_terminal_history(monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize(
     "scenario, expected",
-    [("faulty-fifo", 79), ("bridge-noread-control", 21), ("bridge-noread", 24)],
+    [
+        ("faulty-fifo", 79),
+        ("bridge-noread-control", 21),
+        ("bridge-noread", 24),
+        ("chain3-p1", 24),
+    ],
 )
 def test_catalogue_fingerprints_lose_no_terminal_history(
     scenario, expected, monkeypatch

@@ -15,9 +15,9 @@ from repro.analysis import (
     interconnected_messages_per_write,
     star_worst_latency,
 )
-from repro.experiments import response_stats
+from repro.experiments import latency_tree, response_stats
 from repro.interconnect.topology import interconnect
-from repro.memory.program import Sleep, Write
+from repro.memory.program import Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.obs import TrafficMeter, VisibilityTracker
@@ -118,40 +118,20 @@ class TestE3BottleneckLink:
 
 
 class TestE4Latency:
-    @staticmethod
-    def build_star(m, l, d, shared):
-        sim = Simulator()
-        recorder = HistoryRecorder()
-        systems = [
-            DSMSystem(
-                sim, f"S{index}", get("vector-causal"), recorder=recorder,
-                seed=index, default_delay=l,
-            )
-            for index in range(m)
-        ]
-        # One writer in leaf S1, silent probes everywhere else.
-        systems[1].add_application("writer", [Sleep(1.0), Write("x", 1)])
-        for index in range(m):
-            if index != 1:
-                systems[index].add_application("probe", [])
-        interconnect(systems, topology="star", delay=d, shared=shared)
-        tracker = VisibilityTracker().attach_systems(systems)
-        return sim, systems, tracker
+    # One writer in a leaf (S1 of a star, S0 of a chain), silent probes
+    # everywhere else: repro.experiments.latency_tree.
 
     def test_star_per_edge_matches_3l_plus_2d(self):
         l, d, m = 2.0, 5.0, 4
-        sim, systems, tracker = self.build_star(m, l, d, shared=False)
-        run_until_quiescent(sim, systems)
-        assert tracker.worst_latency() == star_worst_latency(l, d, m)
+        assert latency_tree(m, "star", False, l, d) == star_worst_latency(l, d, m)
 
     def test_star_shared_is_faster_than_the_model(self):
         # The shared IS-process forwards pairs on receipt, skipping one
         # hub-internal propagation: 2l + 2d instead of 3l + 2d.
         l, d, m = 2.0, 5.0, 4
-        sim, systems, tracker = self.build_star(m, l, d, shared=True)
-        run_until_quiescent(sim, systems)
-        assert tracker.worst_latency() == 2 * l + 2 * d
-        assert tracker.worst_latency() < star_worst_latency(l, d, m)
+        worst = latency_tree(m, "star", True, l, d)
+        assert worst == 2 * l + 2 * d
+        assert worst < star_worst_latency(l, d, m)
 
     def test_flat_latency_is_l(self):
         sim = Simulator()
@@ -167,22 +147,7 @@ class TestE4Latency:
 
     def test_chain_per_edge_matches_ml_plus_m1d(self):
         l, d, m = 1.0, 3.0, 4
-        sim = Simulator()
-        recorder = HistoryRecorder()
-        systems = [
-            DSMSystem(
-                sim, f"S{index}", get("vector-causal"), recorder=recorder,
-                seed=index, default_delay=l,
-            )
-            for index in range(m)
-        ]
-        systems[0].add_application("writer", [Sleep(1.0), Write("x", 1)])
-        for index in range(1, m):
-            systems[index].add_application("probe", [])
-        interconnect(systems, topology="chain", delay=d, shared=False)
-        tracker = VisibilityTracker().attach_systems(systems)
-        run_until_quiescent(sim, systems)
-        assert tracker.worst_latency() == chain_worst_latency(l, d, m)
+        assert latency_tree(m, "chain", False, l, d) == chain_worst_latency(l, d, m)
 
 
 class TestE5ResponseTime:

@@ -2,12 +2,7 @@
 which is, in general, no longer sequential."""
 
 from repro.checker import check_causal, check_sequential
-from repro.interconnect.topology import interconnect
-from repro.memory.program import Read, Sleep, Write
-from repro.memory.recorder import HistoryRecorder
-from repro.memory.system import DSMSystem
-from repro.protocols import get
-from repro.sim.core import Simulator
+from repro.experiments import sequential_bridge_dekker
 from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import run_until_quiescent
 
@@ -29,17 +24,9 @@ class TestSequentialBridge:
         # immediately reads the other's. Propagation across the bridge
         # takes several hops, so both reads return the initial value —
         # impossible under sequential consistency.
-        sim = Simulator()
-        recorder = HistoryRecorder()
-        s0 = DSMSystem(sim, "S0", get("aw-sequential"), recorder=recorder, seed=0)
-        s1 = DSMSystem(sim, "S1", get("aw-sequential"), recorder=recorder, seed=1)
-        s0.add_application("A", [Write("x", 1), Read("y")])
-        s1.add_application("B", [Write("y", 2), Read("x")])
-        interconnect([s0, s1], delay=5.0)
-        run_until_quiescent(sim, [s0, s1])
-        history = recorder.history().without_interconnect()
-        assert check_causal(history).ok
-        assert not check_sequential(history).ok
+        causal, sequential = sequential_bridge_dekker()
+        assert causal
+        assert not sequential
 
     def test_each_system_remains_sequential_locally(self):
         result = build_interconnected(

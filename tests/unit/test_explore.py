@@ -2,6 +2,7 @@
 
 import gc
 import json
+import pickle
 import random
 import weakref
 from collections import deque
@@ -34,6 +35,7 @@ from repro.protocols import available, get as get_protocol
 from repro.sim.core import Simulator
 from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import (
+    Poll,
     ScenarioResult,
     run_until_quiescent,
     small_bridge_scenario,
@@ -551,6 +553,35 @@ class TestCatalogue:
         for entry in SCENARIOS.values():
             result = entry.factory()
             assert result.sim.pending > 0  # something is scheduled
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_catalogued_cast_has_zero_delay_everywhere(self, scenario):
+        # The explorer reorders only same-timestamp events, so "exhausted"
+        # covers the whole interleaving space only when nothing in the
+        # cast is ever delayed.
+        cast = get_scenario(scenario).cast
+        delays = [cast.delay]
+        for member in cast.systems:
+            delays.append(member.delay)
+            delays.extend(delay for _, _, delay in member.slow_links)
+            for app in member.apps:
+                delays.append(app.start_delay)
+                commands = app.program
+                if isinstance(app.program, Poll):
+                    delays.append(app.program.poll_interval)
+                    commands = app.program.then
+                delays.extend(
+                    command.duration for command in commands if isinstance(command, Sleep)
+                )
+        assert set(delays) == {0.0}
+
+    def test_catalogued_scenario_builds_its_cast(self):
+        entry = get_scenario("chain3-p1")
+        result = entry.factory(seed=3)
+        assert [system.name for system in result.systems] == ["S0", "S1", "S2"]
+        assert [system.seed for system in result.systems] == [3, 4, 5]
+        assert len(result.interconnection.bridges) == 2
+        assert pickle.loads(pickle.dumps(entry.cast)) == entry.cast
 
     def test_get_scenario_error_lists_known_names(self):
         with pytest.raises(ExplorationError, match="bridge-p1"):
