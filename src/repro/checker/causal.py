@@ -24,7 +24,9 @@ takes the closed predecessor masks ``P``; for each read ``r`` of ``x``
 from ``w`` computes ``P[r] & writes_on[x]`` (the writes on ``x`` before
 ``r``); ORs those not yet before ``w`` into ``w``'s direct predecessors;
 and re-closes the grown sparse relation with one topological pass
-(:meth:`~repro.checker.graph.Relation.transitive_closure`). Never
+(:class:`~repro.checker.graph.GrowingRelation`: the base is decoded and
+sorted once per check, and a pass re-decodes only the masks it grew and
+re-sorts only the stretches of the order its new edges cross). Never
 materialising a restricted relation is sound because added edges connect
 writes, which belong to every alpha_i: reachability between alpha_i's
 members in the full relation coincides with the restricted one, and
@@ -43,7 +45,7 @@ from typing import Optional
 
 from repro.errors import CheckerError
 from repro.checker.cache import derive
-from repro.checker.graph import Relation
+from repro.checker.graph import GrowingRelation, Relation
 from repro.checker.report import CheckResult, Violation
 from repro.memory.history import History
 from repro.memory.operations import Operation
@@ -65,7 +67,7 @@ def causal_order(history: History) -> tuple[list[Operation], Relation]:
 
 def _saturate(
     ops: list[Operation],
-    preds: Relation,
+    preds: GrowingRelation,
     before: Relation,
     proc: str,
     reads: list[tuple[int, int, Optional[int]]],
@@ -73,7 +75,7 @@ def _saturate(
 ) -> Optional[Violation]:
     """Saturate alpha_*proc*; returns the violation, or None if causal.
 
-    *preds* is the sparse base in the predecessor direction (mutated in
+    *preds* is the sparse base in the predecessor direction (grown in
     place) and *before* its transitive closure: ``before`` masks hold
     every op CO-before a node. *reads* lists *proc*'s reads in history
     order as (read, mask of the writes on its variable, source write or
@@ -105,13 +107,12 @@ def _saturate(
             if not added:
                 return None
             edges += added
-            before = preds.transitive_closure()
-            cyclic = before.cycle_node(carrier)
-            if cyclic is not None:
+            before = preds.closure()
+            if preds.cyclic:
                 return Violation(
                     pattern="CyclicHB",
                     process=proc,
-                    operations=(ops[cyclic],),
+                    operations=(ops[before.cycle_node(carrier)],),
                     detail="the saturated happened-before relation is cyclic; "
                     "no permutation can preserve the causal order",
                 )
@@ -138,16 +139,15 @@ def check_causal(history: History) -> CheckResult:
         return result
 
     ops, index = derivations.operations, derivations.index
-    preds = derivations.base.transposed()
-    before = preds.transitive_closure()
-    cyclic = before.cycle_node()
-    if cyclic is not None:
+    preds = GrowingRelation(derivations.base.transposed())
+    before = preds.closure()
+    if preds.cyclic:
         result.ok = False
         result.violations.append(
             Violation(
                 pattern="CyclicCO",
                 process=None,
-                operations=(ops[cyclic],),
+                operations=(ops[before.cycle_node()],),
                 detail="program order and reads-from form a cycle",
             )
         )

@@ -7,7 +7,8 @@ a sparse relation — program order plus reads-from has about two edges
 per node — is one topological pass of mask unions, so callers that grow
 a relation (the saturation loop of :mod:`repro.checker.causal`) keep the
 sparse relation and re-close it, rather than maintaining a dense closure
-edge by edge.
+edge by edge; :class:`GrowingRelation` keeps the decoded masks and the
+topological order across those re-closures.
 """
 
 from __future__ import annotations
@@ -66,32 +67,9 @@ class Relation:
                 pred[child] |= bit
         return converse
 
-    @profiled("checker.transitive_closure")
     def transitive_closure(self) -> "Relation":
-        """The transitive closure.
-
-        Acyclic relations (the overwhelmingly common case: program order
-        plus reads-from of a well-formed history) are closed in a single
-        reverse-topological pass; a cycle falls back to the mask-
-        propagation fixpoint, whose result is identical (the closure is
-        unique) and which still terminates on cyclic input. Each mask is
-        decoded to a list of set bits once: on large, sparse relations
-        decoding is what costs, not the unions.
-        """
-        observe_size("checker.graph_nodes", self.size)
-        children = [_bits(mask) for mask in self._succ]
-        order = _topological_order(children)
-        if order is None:
-            return self._closure_fixpoint()
-        closure = Relation(self.size)
-        closed = closure._succ
-        succ = self._succ
-        for node in reversed(order):
-            acc = succ[node]
-            for child in children[node]:
-                acc |= closed[child]
-            closed[node] = acc
-        return closure
+        """The transitive closure (:meth:`GrowingRelation.closure`)."""
+        return GrowingRelation(self).closure()
 
     def _closure_fixpoint(self) -> "Relation":
         """The original mask-propagation fixpoint (handles cycles)."""
@@ -176,23 +154,126 @@ def _bits(mask: int) -> list[int]:
     return bits
 
 
-def _topological_order(children: list[list[int]]) -> Optional[list[int]]:
-    """A topological order of the adjacency lists *children* (Kahn), or
-    None if they contain a cycle."""
-    indegree = [0] * len(children)
-    for kids in children:
-        for child in kids:
-            indegree[child] += 1
-    stack = [node for node, degree in enumerate(indegree) if not degree]
-    order: list[int] = []
-    while stack:
-        node = stack.pop()
-        order.append(node)
-        for child in children[node]:
-            indegree[child] -= 1
-            if not indegree[child]:
-                stack.append(child)
-    return order if len(order) == len(children) else None
+class GrowingRelation:
+    """A relation re-closed after each batch of new edges (the saturation
+    loop of :mod:`repro.checker.causal`).
+
+    It keeps what a closure derives from the masks of :attr:`relation`:
+    each mask decoded to the list of its set bits, and a topological
+    order with each node's position in it. :meth:`add_mask` decodes only
+    the new bits, and an edge that runs against the order marks the
+    stretch of the order between its ends; :meth:`closure` re-sorts only
+    the marked stretches, because every other edge still agrees with the
+    order and a cycle lies inside a marked stretch. :meth:`copy` shares
+    the decoded lists, which are replaced, never mutated. Close it once
+    before growing or copying it.
+    """
+
+    __slots__ = ("relation", "children", "order", "position", "_stretches")
+
+    def __init__(self, relation: Relation) -> None:
+        self.relation = relation
+        self.children: Optional[list[list[int]]] = None
+        #: Each node before its successors; None once a cycle is found.
+        #: It starts as descending index order, which is its own inverse.
+        self.order: Optional[list[int]] = list(range(relation.size - 1, -1, -1))
+        self.position = list(self.order)
+        self._stretches: list[tuple[int, int]] = []
+
+    @property
+    def cyclic(self) -> bool:
+        """Whether the relation held a cycle at the last :meth:`closure`."""
+        return self.order is None
+
+    def copy(self) -> "GrowingRelation":
+        dup = object.__new__(GrowingRelation)
+        dup.relation = self.relation.copy()
+        dup.children, dup.order = list(self.children), list(self.order)
+        dup.position, dup._stretches = list(self.position), list(self._stretches)
+        return dup
+
+    def add_mask(self, node: int, mask: int) -> None:
+        """Add (node, b) for every b in the bitmask *mask*."""
+        added = _bits(mask & ~self.relation._succ[node])
+        if added:
+            self.relation.add_mask(node, mask)
+            self.children[node] = self.children[node] + added
+            low = min(map(self.position.__getitem__, added))
+            if low <= self.position[node]:
+                self._stretches.append((low, self.position[node]))
+
+    @profiled("checker.transitive_closure")
+    def closure(self) -> Relation:
+        """The transitive closure: one reverse-topological pass of mask
+        unions, or on a cyclic relation the mask-propagation fixpoint,
+        whose result is identical (the closure is unique). On large,
+        sparse relations decoding and sorting cost more than the unions,
+        which is why both are kept across growths."""
+        relation = self.relation
+        observe_size("checker.graph_nodes", relation.size)
+        if self.children is None:
+            # Every edge of a recorded history's predecessor relation
+            # agrees with descending index order; one stretch covers
+            # those that do not.
+            self.children = [_bits(mask) for mask in relation._succ]
+            last = relation.size - 1
+            against = [
+                node for node, kids in enumerate(self.children) if kids and kids[0] >= node
+            ]
+            if against:
+                top = max(self.children[node][0] for node in against)
+                self._stretches = [(last - top, last - against[0])]
+        if self._stretches and self.order is not None:
+            self._resort()
+        if self.order is None:
+            return relation._closure_fixpoint()
+        closure = Relation(relation.size)
+        closed = closure._succ
+        succ = relation._succ
+        children = self.children
+        for node in reversed(self.order):
+            acc = succ[node]
+            for child in children[node]:
+                acc |= closed[child]
+            closed[node] = acc
+        return closure
+
+    def _resort(self) -> None:
+        """Kahn-sort each marked stretch (merged where they overlap or
+        touch) under the edges inside it; a cycle drops the order."""
+        order, position, children = self.order, self.position, self.children
+        merged: list[list[int]] = []
+        for low, high in sorted(self._stretches):
+            if merged and low <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], high)
+            else:
+                merged.append([low, high])
+        self._stretches = []
+        indegree = [-1] * len(order)  # -1: outside the stretch being sorted
+        for low, high in merged:
+            nodes = order[low : high + 1]
+            for node in nodes:
+                indegree[node] = 0
+            for node in nodes:
+                for child in children[node]:
+                    if indegree[child] >= 0:
+                        indegree[child] += 1
+            ready = [node for node in nodes if not indegree[node]]
+            at = low
+            while ready:
+                node = ready.pop()
+                order[at] = node
+                position[node] = at
+                indegree[node] = -1
+                at += 1
+                for child in children[node]:
+                    if indegree[child] > 0:
+                        indegree[child] -= 1
+                        if not indegree[child]:
+                            ready.append(child)
+            if at <= high:
+                self.order = None
+                return
 
 
-__all__ = ["Relation"]
+__all__ = ["GrowingRelation", "Relation"]

@@ -24,6 +24,7 @@ The channel joining the IS-processes comes in two flavours:
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -243,9 +244,14 @@ def connect(
     sim = system_a.sim
 
     def deliver_to(isp: ISProcess):
+        # Weak: the channel carrying this closure belongs to the other
+        # IS-process, and *isp* is owned by the Bridge and by its
+        # MCS-process's upcall attachment.
+        peer = weakref.proxy(isp)
+
         def deliver(message: tuple[str, PropagatedPair]) -> None:
             sender, pair = message
-            isp.receive(sender, pair)
+            peer.receive(sender, pair)
 
         return deliver
 

@@ -28,6 +28,7 @@ each received pair to its other peers, preserving per-link FIFO order.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Optional
@@ -107,7 +108,9 @@ class ISProcess(SimProcess, UpcallHandler):
                 discipline.
         """
         super().__init__(sim, name)
-        self.mcs = mcs
+        # Weak: the system owns its MCS-processes (DSMSystem.mcs_processes),
+        # and *mcs* holds this process as its upcall handler.
+        self.mcs = weakref.proxy(mcs)
         # IS events (Propagate_in drains) write to the attached
         # MCS-process, so they live in its scheduling domain — the
         # explorer additionally aliases this IS-process's own name to the
@@ -144,15 +147,6 @@ class ISProcess(SimProcess, UpcallHandler):
         """(pairs sent, pairs received) on the link to *peer_name*."""
         link = self._peers[peer_name]
         return link.pairs_sent, link.pairs_received
-
-    def close(self) -> None:
-        """Cut this IS-process's back-edges once the run is over: each
-        peer link's channel, whose deliver closure holds the peer
-        IS-process, and the attachment as its MCS-process's upcall
-        handler. The link counters stay readable (:meth:`link_stats`)."""
-        for link in self._peers.values():
-            link.channel = None
-        self.mcs.upcall_handler = None
 
     def state_key(self) -> tuple:
         """Propagation state, in the form of :meth:`MCSProcess.state_key`:

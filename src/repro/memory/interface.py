@@ -25,6 +25,7 @@ explicit care, as discussed in that module.
 
 from __future__ import annotations
 
+import weakref
 from typing import Any, Callable, Iterable, NamedTuple, Optional, TYPE_CHECKING
 
 from repro.errors import ProtocolError, SimulationError
@@ -99,7 +100,9 @@ class MCSProcess(SimProcess):
         segment: str = "default",
     ) -> None:
         super().__init__(sim, name)
-        self.network = network
+        # Weak: the system owns its network (DSMSystem.network), and the
+        # network holds this process through its deliver callback.
+        self.network = weakref.proxy(network)
         self.proc_index = proc_index
         self.system_name = system_name
         self.segment = segment

@@ -372,8 +372,9 @@ def run_perf_suite(
     """Run the suite; returns (report, failures, report path).
 
     *quick* runs the small explorer scenario only — the shape CI runs
-    on every push. Full mode adds the bridge-p1 sequential-vs-parallel
-    wall-clock comparison (several minutes). Gated cases are best-of-
+    on every push. Full mode adds the gated 12,800-op checker case and
+    the bridge-p1 sequential-vs-parallel wall-clock comparison (several
+    minutes). Gated cases are best-of-
     :data:`GATE_ROUNDS` in both modes, as in the baseline: a single
     round of a millisecond-scale case is too noisy to gate on.
 
@@ -386,7 +387,7 @@ def run_perf_suite(
 
     cases: list[dict] = []
     failures: list[str] = []
-    for runner, label in (
+    gated = [
         (_case_checker_causal, "checker_causal_320"),
         (
             functools.partial(_case_checker_causal, ops_per_process=400),
@@ -396,7 +397,15 @@ def run_perf_suite(
         (_case_causality_chain5, "causality_chain5_large"),
         (_case_sim_propagate, "sim_propagate_3x8x40"),
         (_case_explore_p1, "explore_bridge-p1_500"),
-    ):
+    ]
+    if not quick:
+        gated.append(
+            (
+                functools.partial(_case_checker_causal, ops_per_process=1600),
+                "checker_causal_12800",
+            )
+        )
+    for runner, label in gated:
         note(label)
         case = runner(GATE_ROUNDS)
         cases.append(case)

@@ -124,14 +124,6 @@ class Network:
             payload=payload,
         )
 
-    def close(self) -> None:
-        """Drop the nodes and channels once the run is over: their deliver
-        callables are bound methods of the processes that hold this
-        network. :attr:`messages_sent` stays readable."""
-        self._nodes.clear()
-        self._channels.clear()
-        self._fanouts.clear()
-
     def _channel(self, src: str, dst: str) -> ReliableFifoChannel:
         """Build the src->dst channel on its first message; only then are
         the two endpoints checked, so cached sends pay for no lookup."""

@@ -71,21 +71,15 @@ class ScenarioResult:
         return [seen[name] for name in sorted(seen)]
 
     def close(self) -> None:
-        """Cut the run's reference cycles once it is over, so reference
-        counting frees it at once instead of the cyclic collector.
-
-        Each layer drops the back-edges it owns: the simulator its
-        pending events and policy, each network its nodes and channels,
-        each IS-process its peer channels and upcall attachment. The
-        counters (:attr:`Simulator.events_processed`, each network's
-        ``messages_sent``, the bridges' pair and channel counts) and the
-        recorded history stay readable; the run cannot be resumed.
+        """Cut the simulator's cycles once the run is over (its pending
+        events and the explorer's policy hold the components), so
+        reference counting frees the run at once instead of the cyclic
+        collector. A run that finished on its own needs no close: the
+        components' back-edges (process to network, IS-process to
+        MCS-process, bridge channel to peer) are weak. The counters and
+        the recorded history stay readable; the run cannot be resumed.
         """
         self.sim.close()
-        for system in self.systems:
-            system.network.close()
-        for isp in self.is_processes():
-            isp.close()
 
 
 def run_until_quiescent(

@@ -292,6 +292,82 @@ def test_closure_commutes_with_transpose(relation):
     )
 
 
+# --- re-closure of a growing relation --------------------------------------
+#
+# The saturation loop re-closes a relation grown by a few edges per pass,
+# keeping the decoded masks and the topological order of the last pass
+# and re-sorting only the stretches that new edges run against. Each
+# re-closure must equal a from-scratch closure and the naive one, and
+# report the same cycle node, also once an edge closes a cycle.
+
+from repro.checker.graph import GrowingRelation  # noqa: E402
+
+
+@st.composite
+def growths(draw, max_size=14):
+    """A sparse DAG whose edges follow a random ranking of the nodes, and
+    two growths of it: batches of extra edges, any of which may close a
+    cycle."""
+    size = draw(st.integers(1, max_size))
+    rank = draw(st.permutations(range(size)))
+    node = st.integers(0, size - 1)
+    relation = Relation(size)
+    for a, b in draw(st.lists(st.tuples(node, node), max_size=2 * size)):
+        if rank[a] < rank[b]:
+            relation.add(a, b)
+    batches = st.lists(st.lists(st.tuples(node, node), min_size=1, max_size=5), max_size=4)
+    return relation, [draw(batches), draw(batches)]
+
+
+def _naive_cycle_node(reach):
+    return next((node for node in range(len(reach)) if reach[node][node]), None)
+
+
+def _assert_kept_state(grown):
+    """What the re-closure relies on: the decoded lists hold exactly the
+    masks' bits, and, while acyclic, the order is a topological order
+    and the positions are its inverse."""
+    relation = grown.relation
+    for node in range(relation.size):
+        assert sorted(grown.children[node]) == sorted(relation.successors(node))
+    if not grown.cyclic:
+        assert [grown.position[node] for node in grown.order] == list(range(relation.size))
+        for node in range(relation.size):
+            for child in relation.successors(node):
+                assert grown.position[node] < grown.position[child]
+
+
+@given(growths())
+@settings(max_examples=400, deadline=None)
+def test_growing_reclosure_matches_fresh_closure(growth):
+    relation, growths_of_base = growth
+    base = GrowingRelation(relation.copy())
+    base.closure()
+    for batches in growths_of_base:  # copies of one base share its decoded lists
+        grown, plain = base.copy(), relation.copy()
+        for batch in batches:
+            masks: dict[int, int] = {}
+            for a, b in batch:
+                masks[a] = masks.get(a, 0) | 1 << b
+                plain.add(a, b)
+            for a, mask in masks.items():
+                grown.add_mask(a, mask)
+            closure = grown.closure()
+            fresh = plain.transitive_closure()
+            reach = _naive_closure(plain)
+            assert closure.equal_edges(fresh)
+            assert all(
+                closure.has(a, b) == reach[a][b]
+                for a in range(plain.size)
+                for b in range(plain.size)
+            )
+            assert grown.cyclic == (fresh.cycle_node() is not None)
+            assert closure.cycle_node() == fresh.cycle_node() == _naive_cycle_node(reach)
+            _assert_kept_state(grown)
+    assert base.relation.equal_edges(relation)
+    _assert_kept_state(base)
+
+
 @given(relations())
 @settings(max_examples=200, deadline=None)
 def test_transposed_is_the_converse(relation):

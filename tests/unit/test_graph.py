@@ -1,6 +1,6 @@
 """Unit tests for the Relation (bitmask graph) utilities."""
 
-from repro.checker.graph import Relation
+from repro.checker.graph import GrowingRelation, Relation
 
 
 class TestBasics:
@@ -71,6 +71,15 @@ class TestClosure:
         relation = Relation(2)
         relation.add(1, 1)
         assert relation.transitive_closure().cycle_node() == 1
+
+
+class TestGrowingRelation:
+    def test_self_loop_in_the_base_is_a_cycle(self):
+        relation = Relation(2)
+        relation.add(1, 1)
+        grown = GrowingRelation(relation)
+        assert grown.closure().cycle_node() == 1
+        assert grown.cyclic
 
 
 class TestRestrict:

@@ -177,7 +177,9 @@ class TestMissedUpcallReplay:
 class TestCrashDiscipline:
     def test_crash_and_recover_are_idempotent(self):
         sim = Simulator()
-        isp, _, _ = build_isp(sim, SlowMCS(sim))
+        # The caller owns the MCS-process: the IS-process holds it weakly.
+        mcs = SlowMCS(sim)
+        isp, _, _ = build_isp(sim, mcs)
         isp.crash()
         isp.crash()
         assert isp.crashes == 1

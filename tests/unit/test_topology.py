@@ -1,9 +1,11 @@
 """Unit tests for bridges and tree topologies."""
 
+import gc
 import hashlib
 
 import pytest
 
+from repro.checker import check_causal
 from repro.errors import ConfigurationError, TopologyError
 from repro.interconnect.bridge import connect
 from repro.interconnect.topology import (
@@ -15,11 +17,12 @@ from repro.interconnect.topology import (
 from repro.memory.program import Read, Sleep, Write
 from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
-from repro.protocols import get
+from repro.protocols import available, get
 from repro.sim import rng as rng_mod
 from repro.sim.channel import ReliableFifoChannel, UniformDelay
 from repro.sim.core import Simulator
 from repro.trace import dumps_history
+from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import run_until_quiescent, small_bridge_scenario
 
 
@@ -231,3 +234,32 @@ class TestSharedForwarding:
         probe = systems[3].add_application("P", [])
         sim.run()
         assert probe.mcs.local_value("x") == 1
+
+
+class TestRunLifetime:
+    """The system owns its network and its MCS-processes. The edges back
+    to them are weak: an MCS-process's network, an IS-process's
+    MCS-process and the peer IS-process in a bridge channel's deliver
+    callback. So a finished run that is never closed is freed by
+    reference counting alone, with the cyclic collector off."""
+
+    @pytest.mark.parametrize(
+        "protocols",
+        [[name, "vector-causal"] for name in available()] + [["vector-causal"] * 5],
+        ids=lambda protocols: "+".join(sorted(set(protocols))) + f"x{len(protocols)}",
+    )
+    def test_unclosed_run_is_freed_by_reference_counting(self, protocols):
+        def run_and_check():
+            result = build_interconnected(
+                protocols, WorkloadSpec(processes=4, ops_per_process=30), seed=0
+            )
+            run_until_quiescent(result.sim, result.systems)
+            check_causal(result.global_history)
+
+        gc.collect()
+        gc.disable()
+        try:
+            run_and_check()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
