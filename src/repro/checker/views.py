@@ -92,7 +92,10 @@ def search_legal_sequence(
         return None
 
     initial = tuple([-1] * len(variables))
-    found = step(0, initial, [])
+    try:
+        found = step(0, initial, [])
+    finally:
+        del step  # it refers to itself: free the search without the collector
     if found is None:
         return None
     return [ops[position] for position in found]

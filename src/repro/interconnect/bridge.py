@@ -255,6 +255,12 @@ def connect(
 
         return deliver
 
+    def alive(isp: ISProcess):
+        # Weak for the same reason: the transports probing *isp* belong to
+        # it (outgoing) or to its peer (incoming, which *isp* registers).
+        peer = weakref.proxy(isp)
+        return lambda: peer.alive
+
     if transport == "resilient":
         durable = durability == "wal"
         channel_ab = ResilientTransport(
@@ -266,8 +272,8 @@ def connect(
             name=f"{bridge_name}:{isp_a.name}->{isp_b.name}",
             faults=faults,
             retry=retry,
-            sender_up=(lambda: isp_a.alive) if durable else None,
-            receiver_up=(lambda: isp_b.alive) if durable else None,
+            sender_up=alive(isp_a) if durable else None,
+            receiver_up=alive(isp_b) if durable else None,
         )
         channel_ba = ResilientTransport(
             sim,
@@ -278,8 +284,8 @@ def connect(
             name=f"{bridge_name}:{isp_b.name}->{isp_a.name}",
             faults=faults,
             retry=retry,
-            sender_up=(lambda: isp_b.alive) if durable else None,
-            receiver_up=(lambda: isp_a.alive) if durable else None,
+            sender_up=alive(isp_b) if durable else None,
+            receiver_up=alive(isp_a) if durable else None,
         )
         if durable:
             isp_a.register_incoming(isp_b.name, channel_ba)

@@ -33,6 +33,7 @@ and its completion callback is tolerated while the process is down.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from typing import Any, Optional
 
@@ -83,7 +84,12 @@ class RecoverableISProcess(ISProcess):
             dedup_incoming=True,
         )
         self.wal = wal or WriteAheadLog(name=f"{name}.wal")
-        self.wal.on_append = self._on_wal_append
+        # The hooks this process installs on its WAL and on the transports
+        # (its outgoing ones, and the incoming ones its peers own) hold it
+        # weakly: it is owned by its Bridge and its MCS-process's upcall
+        # attachment, so a finished run is freed by reference counting.
+        self._weak = weakref.proxy(self)
+        self.wal.on_append = lambda record, me=self._weak: me._on_wal_append(record)
         self.alive = True
         self.accepting_upcalls = True
         self.crashes = 0
@@ -99,10 +105,11 @@ class RecoverableISProcess(ISProcess):
     def add_peer(self, peer_name: str, channel) -> None:
         super().add_peer(peer_name, channel)
         if isinstance(channel, ResilientTransport):
-            channel.on_assign = lambda seq, message, peer=peer_name: self.wal.log(
+            me = self._weak
+            channel.on_assign = lambda seq, message, peer=peer_name: me.wal.log(
                 SENT, peer=peer, seq=seq, var=message[1].var, value=message[1].value
             )
-            channel.on_ack_progress = lambda cumulative, peer=peer_name: self.wal.log(
+            channel.on_ack_progress = lambda cumulative, peer=peer_name: me.wal.log(
                 ACKED, peer=peer, seq=cumulative
             )
 
@@ -112,7 +119,8 @@ class RecoverableISProcess(ISProcess):
         if peer_name in self._incoming:
             raise ProtocolError(f"{self.name}: duplicate incoming link from {peer_name!r}")
         self._incoming[peer_name] = channel
-        channel.on_deliver = lambda seq, message, peer=peer_name: self._note_recv(
+        me = self._weak
+        channel.on_deliver = lambda seq, message, peer=peer_name: me._note_recv(
             peer, seq, message
         )
 

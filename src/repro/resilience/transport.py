@@ -33,6 +33,7 @@ session through a write-ahead log and restores it with
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -147,13 +148,18 @@ class ResilientTransport:
         # schedule deterministic per direction.
         data_rng = random.Random(self._rng.getrandbits(48))
         ack_rng = random.Random(self._rng.getrandbits(48))
+        # The wires are this transport's own, so they call back into it
+        # weakly and a finished run is freed by reference counting.
+        me = weakref.proxy(self)
         self._wire_data = ReliableFifoChannel(
-            sim, self._on_data_frame, delay=delay, availability=availability,
-            rng=data_rng, name=f"{name}:data", faults=faults or NO_FAULTS,
+            sim, lambda frame: me._on_data_frame(frame), delay=delay,
+            availability=availability, rng=data_rng, name=f"{name}:data",
+            faults=faults or NO_FAULTS,
         )
         self._wire_ack = ReliableFifoChannel(
-            sim, self._on_ack_frame, delay=delay, availability=availability,
-            rng=ack_rng, name=f"{name}:ack", faults=faults or NO_FAULTS,
+            sim, lambda frame: me._on_ack_frame(frame), delay=delay,
+            availability=availability, rng=ack_rng, name=f"{name}:ack",
+            faults=faults or NO_FAULTS,
         )
         # Sender-side session state (volatile; journalled by the WAL layer).
         self._next_seq = 0

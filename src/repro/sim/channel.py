@@ -279,7 +279,7 @@ class ReliableFifoChannel:
         self._closed = False
         self._pending = 0
         self.name = name
-        #: Scheduling-domain tag of the FIFO deliveries (see _schedule_delivery).
+        #: Scheduling-domain tag of the FIFO deliveries (see admit).
         self._tag = f"chan:{name}"
         self.faults = faults
         self.stats = ChannelStats()
@@ -303,13 +303,29 @@ class ReliableFifoChannel:
 
         If the link is down, transmission begins at the next up-time.
         Without a fault plan the message is never lost (reliability); a
-        frame the plan drops returns the current time.
+        frame the plan drops returns the current time. This is
+        :meth:`admit` with each delivery scheduled as a group of one.
+        """
+        deliveries: list[tuple] = []
+        deliver_at = self.admit(message, deliveries)
+        for entry in deliveries:  # a duplicate is never FIFO, so no group of two
+            self._sim.schedule_group(ReliableFifoChannel.fire, [entry])
+        return deliver_at
+
+    def admit(self, message: Any, deliveries: list[tuple]) -> float:
+        """Everything :meth:`send` does short of the heap: the stats,
+        ``msg.send``, the fault-plan draws, the FIFO floor and the queue
+        length. Appends a ``(deliver_at, tag, args)`` entry to
+        *deliveries* for each delivery the frame makes (none if dropped, a
+        second if duplicated), for :func:`schedule_deliveries`; returns
+        what :meth:`send` returns.
         """
         if self._closed:
             raise ChannelError(f"send on closed channel {self.name!r}")
         now = self._sim.now
-        self.stats.messages_sent += 1
-        ordinal = self.stats.messages_sent
+        stats = self.stats
+        stats.messages_sent += 1
+        ordinal = stats.messages_sent
         tracer = self._sim.tracer
         if tracer is not None:
             tracer.emit(now, "msg.send", self.name, channel=self.name, n=ordinal)
@@ -341,15 +357,23 @@ class ReliableFifoChannel:
         else:
             deliver_at = max(deliver_at, self._last_delivery)
             self._last_delivery = deliver_at
-        self._schedule_delivery(deliver_at, message, now, ordinal, tag)
+        # The tag is the scheduling domain: FIFO deliveries of one channel
+        # direction share one, so a SchedulerPolicy can interleave them
+        # against other components but never reorder them against each
+        # other (FIFO is part of the channel's contract). Reordered and
+        # duplicate frames are unordered by design and get a tag each.
+        # The frame fires at exactly deliver_at, so its latency is known now.
+        deliveries.append((deliver_at, tag, (self, message, deliver_at - now, ordinal)))
+        self._pending += 1
         if plan is not None and r_dup < plan.duplicate_probability:
             self.frames_duplicated += 1
             # A plan has drawn already, so the stream exists.
-            extra = delay.sample(self._stream()) + 1e-9
-            self._schedule_delivery(
-                deliver_at + extra, message, now, ordinal,
-                f"{self._tag}#dup{self.frames_duplicated}",
-            )
+            dup_at = deliver_at + (delay.sample(self._stream()) + 1e-9)
+            dup_tag = f"{self._tag}#dup{self.frames_duplicated}"
+            deliveries.append((dup_at, dup_tag, (self, message, dup_at - now, ordinal)))
+            self._pending += 1
+        if self._pending > stats.max_queue_length:
+            stats.max_queue_length = self._pending
         return deliver_at
 
     def _stream(self) -> random.Random:
@@ -358,26 +382,8 @@ class ReliableFifoChannel:
             self._rng = self._make_rng()
         return self._rng
 
-    def _schedule_delivery(
-        self, deliver_at: float, message: Any, send_time: float, ordinal: int, tag: str
-    ) -> None:
-        self._pending += 1
-        if self._pending > self.stats.max_queue_length:
-            self.stats.max_queue_length = self._pending
-        # The tag is the scheduling domain: FIFO deliveries of one channel
-        # direction share one, so a SchedulerPolicy can interleave them
-        # against other components but never reorder them against each
-        # other (FIFO is part of the channel's contract). Reordered and
-        # duplicate frames are unordered by design and get a tag each.
-        # The frame fires at exactly deliver_at, so its latency is known now.
-        self._sim.schedule_at(
-            deliver_at,
-            functools.partial(self._fire, message, deliver_at - send_time, ordinal),
-            tag=tag,
-        )
-
-    def _fire(self, message: Any, latency: float, ordinal: int) -> None:
-        """Deliver one scheduled frame: stats, ``msg.recv``, then *deliver*."""
+    def fire(self, message: Any, latency: float, ordinal: int) -> None:
+        """Deliver one admitted frame: stats, ``msg.recv``, then *deliver*."""
         self._pending -= 1
         stats = self.stats
         stats.messages_delivered += 1
@@ -416,6 +422,28 @@ class ReliableFifoChannel:
         return f"ReliableFifoChannel({self.name!r}, in_flight={self.stats.in_flight})"
 
 
+def schedule_deliveries(sim: Simulator, deliveries: list[tuple]) -> None:
+    """Put admitted deliveries (:meth:`ReliableFifoChannel.admit`) on the
+    kernel's heap in admission order. Each maximal run of consecutive FIFO
+    deliveries at one instant goes as one delivery group
+    (:meth:`Simulator.schedule_group`); a reordered or duplicate frame, or
+    a different instant, closes the run. A FIFO delivery is one that
+    carries its channel's own tag.
+    """
+    runs: list[list[tuple]] = []
+    run_at = None  # the open run's instant; None once a non-FIFO entry closes it
+    for entry in deliveries:
+        deliver_at, tag, args = entry
+        fifo = tag is args[0]._tag
+        if fifo and deliver_at == run_at:
+            runs[-1].append(entry)
+        else:
+            runs.append([entry])
+            run_at = deliver_at if fifo else None
+    for run in runs:
+        sim.schedule_group(ReliableFifoChannel.fire, run)
+
+
 __all__ = [
     "DelayModel",
     "FixedDelay",
@@ -429,4 +457,5 @@ __all__ = [
     "NO_FAULTS",
     "ReliableFifoChannel",
     "ChannelStats",
+    "schedule_deliveries",
 ]

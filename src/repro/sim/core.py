@@ -16,10 +16,16 @@ component FIFO order is never violated), which is what lets the schedule
 explorer (:mod:`repro.explore`) enumerate interleavings systematically
 instead of following the heap order. With no policy installed — the
 default — the kernel behaves bit-for-bit as it always has.
+
+Without a policy the kernel also takes a *delivery group*
+(:meth:`Simulator.schedule_group`: one broadcast's same-instant
+deliveries) as one heap entry that fires its members in order; with a
+policy each member is its own tagged event.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import logging
@@ -45,9 +51,14 @@ class EventHandle:
     out of heap order; the stale heap entry is skipped when it surfaces.
     ``view`` is the event's :class:`EnabledEvent`, built the first time a
     policy step offers it and reused at every later step.
+
+    A delivery group (:meth:`Simulator.schedule_group`) has ``members``,
+    ``(time, tag, args)`` triples that ``callback`` is called with in
+    turn as ``callback(*args)``, and no ``tag`` of its own; member *i*
+    holds seq ``seq + i``. A single event has ``members`` None.
     """
 
-    __slots__ = ("time", "seq", "callback", "cancelled", "tag", "taken", "view")
+    __slots__ = ("time", "seq", "callback", "cancelled", "tag", "taken", "view", "members")
 
     def __init__(
         self, time: float, seq: int, callback: Callable[[], None], tag: Optional[str]
@@ -59,6 +70,7 @@ class EventHandle:
         self.tag = tag
         self.taken = False
         self.view: Optional[EnabledEvent] = None
+        self.members: Optional[list[tuple]] = None
 
     def cancel(self) -> None:
         """Prevent the event from firing. Cancelling twice is a no-op."""
@@ -202,6 +214,8 @@ class Simulator:
     def policy(self, policy: Optional[SchedulerPolicy]) -> None:
         if self._running:
             raise SimulationError("cannot swap the scheduler policy mid-run")
+        if policy is not None:
+            self._ungroup()
         self._policy = policy
 
     def schedule(
@@ -239,6 +253,31 @@ class Simulator:
         heapq.heappush(self._queue, (time, seq, event))
         return event
 
+    def schedule_group(self, fire: Callable[..., None], members: list[tuple]) -> None:
+        """Schedule ``fire(*args)`` for each ``(time, tag, args)`` of
+        *members*, in order, all at one instant; not cancellable.
+
+        Without a policy the members share one heap entry and take the
+        seqs ``seq .. seq + k - 1`` of k back-to-back :meth:`schedule_at`
+        calls: nothing lies between them, and what they schedule fires
+        after the whole group, so the heap order is that of k single
+        events. With a policy each member is its own event at its own
+        time and tag: the per-event oracle of the grouped path.
+        """
+        if self._policy is not None:
+            for time, tag, args in members:
+                self.schedule_at(time, functools.partial(fire, *args), tag)
+            return
+        time = members[0][0]
+        if time < self._now:
+            raise SimulationError(f"cannot schedule in the past (at={time}, now={self._now})")
+        seq = next(self._seq)
+        if len(members) > 1:
+            self._seq = itertools.count(seq + len(members))
+        group = EventHandle(time, seq, fire, None)
+        group.members = members
+        heapq.heappush(self._queue, (time, seq, group))
+
     def call_soon(
         self, callback: Callable[[], None], tag: Optional[str] = None
     ) -> EventHandle:
@@ -247,7 +286,8 @@ class Simulator:
         return self.schedule(0.0, callback, tag=tag)
 
     def step(self) -> bool:
-        """Run the next pending event. Returns False if the queue is empty.
+        """Run the next pending heap entry, which may be a whole delivery
+        group (:meth:`schedule_group`). Returns False if the queue is empty.
 
         Without a policy the next event is the heap minimum by (time,
         seq). With a :class:`SchedulerPolicy` installed, the policy picks
@@ -261,6 +301,7 @@ class Simulator:
         """The events a policy may currently choose among: pending events
         at the minimal timestamp, reduced to the earliest per tag group
         (untagged events form one conservative group), sorted by seq."""
+        self._ungroup()
         return [event.view or event.make_view() for event in self._candidates()]
 
     def _candidates(self) -> list[EventHandle]:
@@ -309,7 +350,8 @@ class Simulator:
 
         Event selection per step follows :meth:`step`: heap (time, seq)
         order by default, or the installed :class:`SchedulerPolicy`'s
-        choices among enabled same-timestamp events.
+        choices among enabled same-timestamp events. *max_events* counts
+        heap entries, as :meth:`step` does.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
@@ -360,10 +402,19 @@ class Simulator:
                 if time < self._now:
                     raise SimulationError("event queue went backwards in time")
                 self._now = time
-                self._processed += 1
-                if counter is not None:
-                    counter.inc()
-                event.callback()
+                members = event.members
+                if members is None:
+                    self._processed += 1
+                    if counter is not None:
+                        counter.inc()
+                    event.callback()
+                else:
+                    fire = event.callback
+                    for _, _, args in members:
+                        self._processed += 1
+                        if counter is not None:
+                            counter.inc()
+                        fire(*args)
             executed += 1
         return executed
 
@@ -373,10 +424,31 @@ class Simulator:
             heapq.heappop(queue)
         return queue[0][2] if queue else None
 
+    def _ungroup(self) -> None:
+        """Split each pending delivery group into single events at the
+        seqs its members took, so the heap order stays the same. No group
+        is made while a policy is installed."""
+        if self._policy is not None:
+            return
+        queue = self._queue
+        groups = [entry for entry in queue if entry[2].members]
+        if groups:
+            queue[:] = [entry for entry in queue if not entry[2].members]
+            for time, seq, group in groups:
+                for at, (_, tag, args) in enumerate(group.members, seq):
+                    single = functools.partial(group.callback, *args)
+                    queue.append((time, at, EventHandle(time, at, single, tag)))
+            heapq.heapify(queue)
+
     @property
     def pending(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
-        return sum(1 for _, _, event in self._queue if not (event.cancelled or event.taken))
+        """Number of live (non-cancelled) events still queued; a delivery
+        group counts its members."""
+        return sum(
+            len(event.members) if event.members else 1
+            for _, _, event in self._queue
+            if not (event.cancelled or event.taken)
+        )
 
     def close(self) -> None:
         """Drop the pending events and the policy once the run is over.
@@ -399,6 +471,7 @@ class Simulator:
         were *scheduled*, which differs between interleavings that are
         otherwise state-equivalent (used by the explorer's fingerprints).
         """
+        self._ungroup()
         return tuple(
             sorted(
                 (time, event.tag or "")

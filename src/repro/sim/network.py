@@ -17,7 +17,7 @@ from typing import Any, Callable
 
 from repro.errors import ConfigurationError
 from repro.sim import rng as rng_mod
-from repro.sim.channel import DelayModel, FixedDelay, ReliableFifoChannel
+from repro.sim.channel import DelayModel, FixedDelay, ReliableFifoChannel, schedule_deliveries
 from repro.sim.core import Simulator
 
 @dataclass
@@ -95,7 +95,10 @@ class Network:
 
         This models the propagation-based MCS protocols' update broadcast:
         x MCS-processes => x - 1 messages per write (§6). The sends go in
-        node-registration order, as :meth:`send` would make them one by one.
+        node-registration order, as :meth:`send` would make them one by one,
+        except that the channels only admit the payload here; the
+        deliveries go to the kernel together, so a fan-out over links of
+        one delay is a single delivery group.
         """
         fanout = self._fanouts.get(src)
         if fanout is None:
@@ -106,10 +109,12 @@ class Network:
             ]
         self.messages_sent += len(fanout)
         traced = self.sim.tracer is not None
+        deliveries: list[tuple] = []
         for dst, channel in fanout:
             if traced:
                 self._trace_send(src, dst, payload)
-            channel.send(payload)
+            channel.admit(payload, deliveries)
+        schedule_deliveries(self.sim, deliveries)
         return len(fanout)
 
     def _trace_send(self, src: str, dst: str, payload: Any) -> None:

@@ -29,6 +29,7 @@ from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import base as protocol_base
 from repro.protocols.base import ProtocolSpec, get
+from repro.sim.channel import DelayModel
 from repro.sim.core import Simulator
 from repro.workloads.generator import WorkloadSpec, populate_system
 from repro.workloads.values import ValueFactory
@@ -200,7 +201,7 @@ def build_interconnected(
     topology: str = "star",
     edges: Optional[Sequence[tuple[int, int]]] = None,
     seed: int = 0,
-    intra_delay: float = 1.0,
+    intra_delay: DelayModel | float = 1.0,
     inter_delay: float = 1.0,
     shared: bool = True,
     read_before_send: bool = True,

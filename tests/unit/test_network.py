@@ -4,8 +4,13 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.sim import rng as rng_mod
-from repro.sim.channel import ReliableFifoChannel, UniformDelay
-from repro.sim.core import Simulator
+from repro.sim.channel import (
+    FaultPlan,
+    ReliableFifoChannel,
+    UniformDelay,
+    schedule_deliveries,
+)
+from repro.sim.core import FifoPolicy, Simulator
 from repro.sim.network import Network
 
 
@@ -85,6 +90,64 @@ class TestSend:
         net.send("a", "b", "x")
         with pytest.raises(ConfigurationError):
             net.set_delay("a", "b", 9.0)
+
+
+class TestBroadcastGrouping:
+    """Without a policy a broadcast's same-instant deliveries are one heap
+    entry, so one step delivers them all; a policy sees each delivery as
+    its own tagged event. The event count is the same either way."""
+
+    @pytest.mark.parametrize("policy, steps", [(None, 1), (FifoPolicy(), 4)])
+    def test_fixed_delay_fan_out(self, policy, steps):
+        sim, net, inboxes = make_net(["a", "b", "c", "d", "e"], default_delay=2.0)
+        sim.policy = policy
+        net.broadcast("a", "u")
+        assert len(sim._queue) == steps
+        assert sim.pending == 4
+        taken = 0
+        while sim.step():
+            taken += 1
+        assert taken == steps
+        assert sim.events_processed == 4
+        assert sim.now == 2.0
+        assert all(inboxes[node] == [("a", "u")] for node in "bcde")
+
+    def test_policy_sees_one_tagged_event_per_delivery(self):
+        sim, net, _ = make_net(["a", "b", "c"], default_delay=2.0)
+        sim.policy = FifoPolicy()
+        net.broadcast("a", "u")
+        assert [event.tag for event in sim.enabled_events()] == [
+            "chan:net:a->b", "chan:net:a->c"
+        ]
+
+    def test_a_different_instant_closes_the_group(self):
+        # a->c is slower, so it splits the fan-out: b and d share an
+        # instant but not a heap entry.
+        sim, net, inboxes = make_net(["a", "b", "c", "d"], default_delay=2.0)
+        net.set_delay("a", "c", 5.0)
+        net.broadcast("a", "u")
+        fired = []
+        while sim.step():
+            fired.append((sim.now, sim.events_processed))
+        assert fired == [(2.0, 1), (2.0, 2), (5.0, 3)]
+        assert all(inboxes[node] == [("a", "u")] for node in "bcd")
+
+    @pytest.mark.parametrize("reorder, entries", [(False, 1), (True, 3)])
+    def test_a_reordered_frame_closes_the_group(self, reorder, entries):
+        # With no spread the reordered frame falls on the shared instant,
+        # but it is not FIFO, so it is scheduled on its own.
+        sim = Simulator()
+        got = []
+        channels = [ReliableFifoChannel(sim, got.append, delay=1.0, name=n) for n in "xyz"]
+        if reorder:
+            channels[1].faults = FaultPlan(reorder_probability=1.0, reorder_spread=0.0)
+        deliveries = []
+        for channel in channels:
+            channel.admit(channel.name, deliveries)
+        schedule_deliveries(sim, deliveries)
+        assert len(sim._queue) == entries
+        sim.run()
+        assert got == ["x", "y", "z"] and sim.events_processed == 3
 
 
 def traced_net(node_names, segments):

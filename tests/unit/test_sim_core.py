@@ -222,3 +222,74 @@ class TestRunBounds:
         assert by_step == by_run == [4, 1, 2, 0]
         assert stepped.events_processed == ran.events_processed == 4
         assert stepped.now == ran.now == 3.0
+
+
+class TestDeliveryGroups:
+    """``schedule_group``: without a policy the members share one heap
+    entry and fire exactly where back-to-back single events would."""
+
+    def test_members_fire_in_order_where_single_events_would(self):
+        sim = Simulator()
+        fired = []
+        fire = fired.append
+        sim.schedule_at(1.0, lambda: fired.append("before"))
+        sim.schedule_group(fire, [(1.0, "t:a", ("a",)), (1.0, "t:b", ("b",))])
+        sim.schedule_at(1.0, lambda: fired.append("after"))
+        sim.schedule_group(fire, [(0.5, "t:e", ("early",))])
+        assert sim.pending == 5
+        assert sim.step() and sim.step() and sim.step()
+        assert fired == ["early", "before", "a", "b"]
+        assert sim.events_processed == 4
+        sim.run()
+        assert fired == ["early", "before", "a", "b", "after"]
+        assert sim.events_processed == 5
+
+    def test_what_a_member_schedules_at_its_instant_fires_after_the_group(self):
+        sim = Simulator()
+        fired = []
+
+        def fire(name):
+            fired.append(name)
+            if name == "a":
+                sim.schedule_group(fire, [(1.0, "t", ("late",))])
+
+        sim.schedule_group(fire, [(1.0, "t", ("a",)), (1.0, "t", ("b",))])
+        assert sim.step()
+        assert fired == ["a", "b"] and sim.events_processed == 2
+        sim.run()
+        assert fired == ["a", "b", "late"]
+
+    def test_members_take_consecutive_seqs(self):
+        sim = Simulator()
+        sim.schedule_group(print, [(1.0, tag, ()) for tag in "xyz"])
+        assert sim.schedule_at(1.0, print).seq == 3
+
+    @pytest.mark.parametrize("install", ["before", "after"])
+    def test_under_a_policy_each_member_is_its_own_event(self, install):
+        sim = Simulator()
+        fired = []
+        fire = fired.append
+        if install == "before":
+            sim.policy = FifoPolicy()
+        sim.schedule_group(fire, [(1.0, f"t:{n}", (n,)) for n in "abc"])
+        sim.schedule_at(1.0, lambda: fired.append("single"), tag="s")
+        if install == "after":
+            sim.policy = FifoPolicy()
+        assert [(event.seq, event.tag) for event in sim.enabled_events()] == [
+            (0, "t:a"), (1, "t:b"), (2, "t:c"), (3, "s")
+        ]
+        assert sim.step()
+        assert fired == ["a"]
+        sim.run()
+        assert fired == ["a", "b", "c", "single"]
+        assert sim.events_processed == 4
+
+    def test_under_a_policy_a_member_keeps_its_own_time(self):
+        # The per-event path schedules what the members say, not what the
+        # group assumes, so it is an independent oracle of the grouping.
+        sim = Simulator(policy=FifoPolicy())
+        fired = []
+        members = [(1.0, "t", ("a",)), (2.0, "t", ("b",))]
+        sim.schedule_group(lambda name: fired.append((sim.now, name)), members)
+        sim.run()
+        assert fired == [(1.0, "a"), (2.0, "b")]

@@ -263,3 +263,16 @@ class TestRunLifetime:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    def test_campaign_run_is_freed_by_reference_counting(self):
+        # The resilience layer's hooks (transport wires, WAL and delivery
+        # callbacks, the durable bridge's liveness probes) are weak too.
+        from repro.resilience.campaign import run_campaign
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_campaign("combined", seed=0).ok
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
