@@ -1,6 +1,6 @@
 """Analytical performance model (§6) and comparison helpers."""
 
-from repro.analysis.compare import Comparison, render_table
+from repro.analysis.compare import Comparison
 from repro.analysis.whatif import (
     LinkLoad,
     link_load,
@@ -20,7 +20,6 @@ from repro.analysis.model import (
 
 __all__ = [
     "Comparison",
-    "render_table",
     "flat_messages_per_write",
     "interconnected_messages_per_write",
     "bottleneck_crossings_flat",

@@ -1,4 +1,4 @@
-"""Measured-versus-model comparison helpers for the benchmark harness."""
+"""Measured-versus-model rows of the experiments report."""
 
 from __future__ import annotations
 
@@ -29,18 +29,5 @@ class Comparison:
         """True if the measurement is within *tolerance* relative error."""
         return self.relative_error <= tolerance
 
-    def row(self) -> str:
-        return (
-            f"{self.label:<42} predicted={self.predicted:>10.3f} "
-            f"measured={self.measured:>10.3f} ratio={self.ratio:>6.3f}"
-        )
 
-
-def render_table(title: str, rows: list[Comparison]) -> str:
-    """A plain-text experiment table, paper-style."""
-    lines = [title, "-" * len(title)]
-    lines.extend(row.row() for row in rows)
-    return "\n".join(lines)
-
-
-__all__ = ["Comparison", "render_table"]
+__all__ = ["Comparison"]

@@ -10,7 +10,8 @@ Commands:
   Lemmas 7-9) on a saved trace, per process.
 * ``lattice`` — exhaustively verify the consistency lattice on a small
   universe of histories.
-* ``experiments`` — regenerate the full EXPERIMENTS.md report.
+* ``experiments`` — regenerate the full EXPERIMENTS.md report, checking
+  every paper claim its tables show; exit 1 if one fails.
 * ``faults`` — run a named fault-injection campaign (lossy links, flapping
   partitions, IS-process crash/recovery) and machine-check the outcome.
 * ``explore`` — systematically enumerate event interleavings of a small
@@ -23,8 +24,7 @@ Commands:
   metrics registry attached and compare the measured message counts
   against the §6 closed-form model.
 * ``bench`` — run the checker/simulation/explorer perf suite and its
-  regression gate, and write ``BENCH_perf.json``. (The pytest-benchmark
-  modules under ``benchmarks/`` run with ``pytest benchmarks``.)
+  regression gate, and write ``BENCH_perf.json``.
 * ``demo`` — a 30-second tour: Theorem 1, the §3 ablation, Lemma 1.
 
 ``-v``/``-q`` (before the subcommand) raise or silence the module
@@ -49,6 +49,7 @@ from repro.checker import (
     check_pram,
     check_sequential,
 )
+from repro.errors import ClaimError
 from repro.protocols import available, get
 from repro.viz import render_report
 from repro.workloads import WorkloadSpec, build_interconnected
@@ -223,9 +224,13 @@ def _command_lattice(args: argparse.Namespace) -> int:
 def _command_experiments(args: argparse.Namespace) -> int:
     from repro.reporting import generate_report  # heavy import, keep lazy
 
-    report = generate_report(
-        progress=lambda title: print(f"running {title} ...", file=sys.stderr, flush=True)
-    )
+    try:
+        report = generate_report(
+            progress=lambda title: print(f"running {title} ...", file=sys.stderr, flush=True)
+        )
+    except ClaimError as error:
+        print(f"claim FAILED in {error}")
+        return 1
     if args.output == "-":
         print(report)
     else:

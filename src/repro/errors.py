@@ -44,3 +44,8 @@ class DeadlockError(SimulationError):
 class ExplorationError(ReproError):
     """The schedule explorer was misused or a recorded schedule does not
     match the scenario it is replayed against."""
+
+
+class ClaimError(ReproError):
+    """A measured number in the experiments report contradicts the paper
+    claim that its table shows."""

@@ -1,11 +1,10 @@
 """Executable experiment runners (one per DESIGN.md experiment id).
 
-Single home for the measurement code behind three consumers: the
-benchmark suite (``benchmarks/``), the EXPERIMENTS.md generator
-(``python -m repro experiments``) and the rest of the command-line
-interface (``python -m repro``). Each function builds, runs and
-measures one configuration; the callers decide what to sweep and how to
-present it.
+Single home for the measurement code behind the EXPERIMENTS.md
+generator (``python -m repro experiments``, which also checks the
+paper's claims), the rest of the command-line interface and the tests.
+Each function builds, runs and measures one configuration; the callers
+decide what to sweep and how to present it.
 """
 
 from __future__ import annotations

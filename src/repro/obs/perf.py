@@ -1,15 +1,12 @@
 """Checker / simulation / explorer throughput suite with a regression gate
 (``python -m repro bench``).
 
-Unlike the pytest-benchmark modules under ``benchmarks/`` (which print
-rich comparison tables for humans and run with plain
-``pytest benchmarks``), this suite times the repo's hot
-paths — causality checking, the simulation kernel with a vector-causal
-protocol, and interleaving exploration (a gated 500-run bridge-p1 search
-plus the ungated sequential-vs-parallel runs) — directly, and
-writes a machine-readable ``BENCH_perf.json`` at the repo root. It is
-what CI's perf-smoke job runs: fast enough for every push, deterministic
-enough to gate on.
+This suite times the repo's hot paths — causality checking, the
+simulation kernel with a vector-causal protocol, and interleaving
+exploration (a gated 500-run bridge-p1 search plus the ungated
+sequential-vs-parallel runs) — and writes a machine-readable
+``BENCH_perf.json`` at the repo root. It is what CI's perf-smoke job
+runs: fast enough for every push, deterministic enough to gate on.
 
 Portability of the gate: raw seconds are meaningless across machines, so
 every case carries a *calibration score* — the wall time of a fixed
@@ -101,7 +98,7 @@ def _best_of(fn: Callable[[], object], rounds: int) -> tuple[float, float, objec
 
 
 def _make_history(processes: int, ops_per_process: int, seed: int = 0):
-    """The synthetic single-system workload of ``bench_checker_scaling``."""
+    """A synthetic single-system vector-causal workload, write ratio 0.4."""
     from repro.memory.recorder import HistoryRecorder
     from repro.memory.system import DSMSystem
     from repro.protocols import get
@@ -167,10 +164,10 @@ def _case_checker_sessions(rounds: int) -> dict:
 
 
 def _case_causality_chain5(rounds: int) -> dict:
-    """Cold-cache causality check of the chain-of-five global history —
-    the checking portion of ``bench_causality_check``'s largest (E7)
-    configuration. Simulation stays outside the timed region: it is
-    unchanged by the checker work and would only dilute the signal."""
+    """Cold-cache causality check of the global history of the E7 chain
+    of five, 6 x 24 ops per system. Simulation stays outside the timed
+    region: it is unchanged by the checker work and would only dilute
+    the signal."""
     from repro.checker import check_causal
     from repro.checker.cache import invalidate
     from repro.workloads import WorkloadSpec, build_interconnected

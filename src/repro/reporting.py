@@ -1,6 +1,7 @@
 """EXPERIMENTS.md generation: run every experiment, tabulate paper vs measured.
 
-Run by ``python -m repro experiments``.
+Run by ``python -m repro experiments``. Each section also checks the
+claims its table shows and raises :class:`ClaimError` when one fails.
 """
 
 from __future__ import annotations
@@ -19,18 +20,28 @@ from repro.analysis import (
 )
 from repro import experiments
 from repro.checker import check_causal
+from repro.errors import ClaimError
+from repro.protocols import get
 from repro.workloads import WorkloadSpec, build_interconnected
 from repro.workloads.scenarios import run_until_quiescent
 
 L, D = experiments.LATENCY_L, experiments.LATENCY_D
 
 
+def claim(holds: bool, what: str) -> None:
+    """Raise :class:`ClaimError` naming *what* unless it holds (``-O``-proof)."""
+    if not holds:
+        raise ClaimError(what)
+
+
 def md_table(rows: list[Comparison]) -> str:
+    """The model-vs-measured table; every row must meet its model exactly."""
     lines = [
         "| configuration | model | measured | ratio |",
         "|---|---:|---:|---:|",
     ]
     for row in rows:
+        claim(row.within(0.0), f"{row.label} measured {row.measured:.2f}, model {row.predicted:.2f}")
         lines.append(
             f"| {row.label} | {row.predicted:.2f} | {row.measured:.2f} | {row.ratio:.2f} |"
         )
@@ -120,6 +131,7 @@ def experiment_e5() -> str:
         Comparison("vector protocol max (alone -> bridged)", alone.maximum, bridged.maximum),
         Comparison("sequential protocol mean (alone -> bridged)", seq_alone.mean, seq_bridged.mean),
     ]
+    claim(seq_alone.mean > 0, "sequential protocol: writes block, so the mean response is above 0")
     return md_table(rows)
 
 
@@ -141,6 +153,7 @@ def experiment_e6_e7() -> str:
             f"{len(protocols)} systems ({topology}, {'shared' if shared else 'per-edge'})"
         )
         lines.append(f"| {label} | {len(result.global_history)} | {'yes' if verdict.ok else 'NO'} |")
+        claim(verdict.ok, f"{label}: the union is causal")
     return "\n".join(lines)
 
 
@@ -149,6 +162,7 @@ def experiment_e8() -> str:
     for read_before_send, label in ((True, "with read step (paper)"), (False, "read step ablated")):
         violations = round(experiments.section3_violation_rate(read_before_send, range(10)) * 10)
         lines.append(f"| {label} | {violations}/10 |")
+        claim(violations == (0 if read_before_send else 10), f"{label}: {violations}/10 violations")
     return "\n".join(lines)
 
 
@@ -160,6 +174,8 @@ def experiment_e9() -> str:
     ):
         violations = round(experiments.lemma1_violation_rate(use_pre_update, range(20)) * 20)
         lines.append(f"| {label} | {violations}/20 |")
+        # Protocol 2 is sound; the misuse must show in over 20% of timings.
+        claim(violations == 0 if use_pre_update else violations > 4, f"{label}: {violations}/20")
     return "\n".join(lines)
 
 
@@ -176,6 +192,8 @@ def experiment_e10() -> str:
         f"| cross-system Dekker race: causal | {'yes' if dekker_causal else 'NO'} |",
         f"| cross-system Dekker race: sequential | {'yes' if dekker_sequential else 'no'} |",
     ]
+    claim(causal_ok == 8, f"union causal (8 random workloads): {causal_ok}/8")
+    claim(dekker_causal and not dekker_sequential, "Dekker race: causal but not sequential")
     return "\n".join(lines)
 
 
@@ -184,11 +202,16 @@ def experiment_e11() -> str:
         "| link duty cycle | max queued pairs | mean pair delay | causal? |",
         "|---:|---:|---:|---|",
     ]
-    for up_fraction in (1.0, 0.5, 0.1, 0.02):
-        _, queue_depth, delay, causal = experiments.dialup_run(200.0, up_fraction)
+    runs = {up: experiments.dialup_run(200.0, up) for up in (1.0, 0.5, 0.1, 0.02)}
+    for up_fraction, (_, queue_depth, delay, causal) in runs.items():
         lines.append(
             f"| {up_fraction:.0%} | {queue_depth} | {delay:.1f} | {'yes' if causal else 'NO'} |"
         )
+        claim(causal, f"{up_fraction:.0%}: causal")
+    delays = [delay for _, _, delay, _ in runs.values()]
+    claim(delays == sorted(delays), "mean pair delay grows as the duty cycle shrinks")
+    up, down = runs[1.0], runs[0.02]
+    claim(down[1] > up[1] and down[2] > up[2], "2% queues more pairs, for longer, than 100%")
     return "\n".join(lines)
 
 
@@ -197,14 +220,21 @@ def experiment_x1() -> str:
         "| replication factor | value msgs/write | notices/write | remote reads | mean response |",
         "|---:|---:|---:|---:|---:|",
     ]
-    for factor in (1, 2, 4, 6):
-        row = experiments.partial_replication(factor)
-        assert row["causal"]
+    n = 6  # processes per run, so factor n is full replication
+    rows = {factor: experiments.partial_replication(factor) for factor in (1, 2, 4, n)}
+    for factor, row in rows.items():
         lines.append(
             f"| {factor} | {row['value_msgs_per_write']:.2f} "
             f"| {row['notice_msgs_per_write']:.2f} | {row['remote_reads']} "
             f"| {row['mean_response']:.3f} |"
         )
+        fanout = row["value_msgs_per_write"] + row["notice_msgs_per_write"]
+        claim(row["causal"] and abs(fanout - (n - 1)) < 1e-9, f"factor {factor}: causal, fan-out n-1")
+    values = [row["value_msgs_per_write"] for row in rows.values()]
+    claim(values == sorted(values) and values[-1] == n - 1, "value msgs/write grow to n-1 at n")
+    sparse, full = rows[1], rows[n]
+    claim(sparse["remote_reads"] > full["remote_reads"], "factor 1 reads remotely more than n")
+    claim(sparse["mean_response"] > full["mean_response"] == 0, "remote reads cost response time")
     return "\n".join(lines)
 
 
@@ -213,13 +243,25 @@ def experiment_x2() -> str:
         "| protocol | workload | value msgs/write | mean response | causal? |",
         "|---|---|---:|---:|---|",
     ]
+    rows = []
     for protocol in ("vector-causal", "invalidation-causal"):
         for write_ratio, label in ((0.8, "write-heavy"), (0.3, "read-heavy")):
             row = experiments.invalidation_traffic(protocol, write_ratio)
+            rows.append(row)
             lines.append(
                 f"| {protocol} | {label} | {row['value_msgs_per_write']:.2f} "
                 f"| {row['mean_response']:.3f} | {'yes' if row['causal'] else 'NO'} |"
             )
+            claim(row["causal"], f"{protocol}, {label}: causal")
+    vector_write, vector_read, invalidation_write, invalidation_read = rows
+    claim(
+        invalidation_write["value_msgs_per_write"] < vector_write["value_msgs_per_write"],
+        "write-heavy: invalidation moves fewer values than propagation",
+    )
+    claim(
+        invalidation_read["mean_response"] > vector_read["mean_response"] == 0,
+        "read-heavy: invalidation pays fetch round trips, propagation none",
+    )
     return "\n".join(lines)
 
 
@@ -227,6 +269,8 @@ def experiment_x7() -> str:
     reorder_rate = experiments.reordering_violation_rate()
     naive_broken, naive_runs = experiments.duplication_breakage_rate(False)
     hard_broken, hard_runs = experiments.duplication_breakage_rate(True)
+    claim(reorder_rate > 0, "a reordering channel violates causality on some seed")
+    claim(naive_broken > 0 and hard_broken == 0, "duplicates break naive Propagate_in, not dedup")
     lines = [
         "| channel assumption broken | outcome |",
         "|---|---|",
@@ -242,10 +286,16 @@ def experiment_x4() -> str:
         "| rewrites per variable | pairs crossing (plain) | pairs crossing (coalesced) |",
         "|---:|---:|---:|",
     ]
+    plains, mergeds = [], []
     for rewrites in (2, 4, 8, 16):
-        plain = experiments.coalescing_burst(False, rewrites)[0]
-        merged = experiments.coalescing_burst(True, rewrites)[0]
+        plain, _, plain_causal = experiments.coalescing_burst(False, rewrites)
+        merged, _, merged_causal = experiments.coalescing_burst(True, rewrites)
         lines.append(f"| {rewrites} | {plain} | {merged} |")
+        # About one pair per variable crosses: 2 variables, plus slack.
+        claim(plain_causal and merged_causal and merged <= 4, f"{rewrites}: causal, {merged} <= 4")
+        plains.append(plain)
+        mergeds.append(merged)
+    claim(plains == sorted(plains) and max(mergeds) < min(plains), "coalescing crosses fewer pairs")
     return "\n".join(lines)
 
 
@@ -254,14 +304,23 @@ def experiment_x3() -> str:
         "| protocol | msgs/write | mean response | causal | CCv | sequential |",
         "|---|---:|---:|---|---|---|",
     ]
+    rows = {}
     for protocol in experiments.ZOO_PROTOCOLS:
-        row = experiments.run_zoo_member(protocol)
+        row = rows[protocol] = experiments.run_zoo_member(protocol)
         seq = "-" if row["sequential"] is None else ("yes" if row["sequential"] else "no")
         lines.append(
             f"| {row['protocol']} | {row['msgs_per_write']:.2f} "
             f"| {row['mean_response']:.2f} | {'yes' if row['causal'] else 'NO'} "
             f"| {'yes' if row['ccv'] else 'no'} | {seq} |"
         )
+        if get(protocol).consistency in ("causal", "sequential"):
+            claim(row["causal"], f"{protocol}: claims causal consistency, so causal")
+    sequential = rows["aw-sequential"]
+    claim(sequential["sequential"] and sequential["ccv"], "aw-sequential: sequential and CCv")
+    claim(
+        sequential["mean_response"] > rows["vector-causal"]["mean_response"] == 0,
+        "write-blocking aw-sequential pays response time, vector-causal none",
+    )
     return "\n".join(lines)
 
 
@@ -385,7 +444,10 @@ def generate_report(progress=None) -> str:
         parts.append("")
         parts.append(intro)
         parts.append("")
-        parts.append(runner())
+        try:
+            parts.append(runner())
+        except ClaimError as error:
+            raise ClaimError(f"{title}: {error}") from None
         parts.append("")
     parts.append(f"_Total generation time: {time.time() - start:.1f}s (wall)._")
     parts.append("")

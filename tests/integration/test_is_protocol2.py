@@ -64,3 +64,20 @@ class TestLemma1:
         if saw_u:
             final_var, final_value = observer_reads[-1]
             assert (final_var, final_value) == ("x", "v")
+
+    @pytest.mark.parametrize("use_pre_update", [False, True])
+    def test_violations_are_the_apply_inversions(self, use_pre_update):
+        # Under IS-protocol 1 a lag seed breaks causality exactly when the
+        # delayed protocol applies an update out of order; IS-protocol 2's
+        # pre-update reads leave no inversion at all.
+        for lag_seed in range(20):
+            result = lemma1_scenario(use_pre_update=use_pre_update, lag_seed=lag_seed)
+            run_until_quiescent(result.sim, result.systems)
+            inversions = sum(
+                getattr(mcs, "lag_inversions", 0)
+                for system in result.systems
+                for mcs in system.mcs_processes
+            )
+            causal = check_causal(result.global_history).ok
+            assert causal == (inversions == 0), lag_seed
+            assert inversions == 0 or not use_pre_update, lag_seed

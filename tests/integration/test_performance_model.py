@@ -15,7 +15,12 @@ from repro.analysis import (
     interconnected_messages_per_write,
     star_worst_latency,
 )
-from repro.experiments import latency_tree, response_stats
+from repro.experiments import (
+    crossings_per_write_bridged,
+    crossings_per_write_flat,
+    latency_tree,
+    response_stats,
+)
 from repro.interconnect.topology import interconnect
 from repro.memory.program import Write
 from repro.memory.recorder import HistoryRecorder
@@ -116,6 +121,11 @@ class TestE3BottleneckLink:
         writes = count_app_writes(recorder.history())
         assert connection.inter_system_messages == writes * bottleneck_crossings_interconnected()
 
+    def test_six_per_side(self):
+        # E3's table shows 2, 4 and 8 per side.
+        assert crossings_per_write_flat(6) == bottleneck_crossings_flat(6)
+        assert crossings_per_write_bridged(6) == bottleneck_crossings_interconnected()
+
 
 class TestE4Latency:
     # One writer in a leaf (S1 of a star, S0 of a chain), silent probes
@@ -146,8 +156,10 @@ class TestE4Latency:
         assert tracker.worst_latency() == 2.0
 
     def test_chain_per_edge_matches_ml_plus_m1d(self):
-        l, d, m = 1.0, 3.0, 4
-        assert latency_tree(m, "chain", False, l, d) == chain_worst_latency(l, d, m)
+        # E4's table shows chains of 3 and 5 at l=2, d=5.
+        l, d = 1.0, 3.0
+        for m in (2, 4, 6):
+            assert latency_tree(m, "chain", False, l, d) == chain_worst_latency(l, d, m)
 
 
 class TestE5ResponseTime:

@@ -12,6 +12,7 @@ from repro.memory.recorder import HistoryRecorder
 from repro.memory.system import DSMSystem
 from repro.protocols import base as protocol_base
 from repro.resilience.campaign import SCENARIOS, run_campaign
+from repro.resilience.transport import RetryPolicy
 from repro.sim.channel import FaultPlan
 from repro.sim.core import Simulator
 from repro.workloads.generator import WorkloadSpec, populate_system
@@ -63,6 +64,28 @@ class TestResilientBridge:
         lost = bridge.channel_ab.frames_lost_on_wire + bridge.channel_ba.frames_lost_on_wire
         assert lost > 0
         assert bridge.isp_a.duplicates_dropped + bridge.isp_b.duplicates_dropped == 0
+
+    def test_loss_costs_retransmissions_and_delay_not_causality(self):
+        # A tight timer, so that the runs show steady-state ARQ rather
+        # than backoff tails.
+        retry = RetryPolicy(base_timeout=3.0, multiplier=2.0, max_timeout=24.0, jitter=0.25)
+        rows = []
+        for drop_rate in (0.0, 0.05, 0.20):
+            faults = FaultPlan(drop_probability=drop_rate) if drop_rate else None
+            sim, systems, recorder, bridge = build_pair(
+                transport="resilient", faults=faults, retry=retry
+            )
+            run_until_quiescent(sim, systems)
+            assert check_causal(recorder.history().without_interconnect()).ok
+            channels = (bridge.channel_ab, bridge.channel_ba)
+            delivered = sum(channel.stats.messages_delivered for channel in channels)
+            rows.append((
+                sum(channel.wire.retransmissions for channel in channels),
+                sum(channel.stats.total_delay for channel in channels) / delivered,
+            ))
+        (clean_retransmissions, clean_delay), _, (lossy_retransmissions, lossy_delay) = rows
+        assert clean_retransmissions == 0 < lossy_retransmissions
+        assert lossy_delay >= clean_delay
 
     def test_mid_run_crash_and_recovery_yields_causal_history(self):
         """The ISSUE's acceptance test: an IS-process dies mid-run, comes

@@ -29,6 +29,16 @@ class TestCorollary1:
         run_until_quiescent(result.sim, result.systems)
         assert check_causal(result.global_history).ok
 
+    def test_large_chain_of_five(self):
+        # 720 operations across five per-edge bridged systems, the size
+        # of the chain the perf suite's causality_chain5_large case times.
+        spec = WorkloadSpec(processes=6, ops_per_process=24, write_ratio=0.5)
+        result = build_interconnected(
+            ["vector-causal"] * 5, spec, topology="chain", shared=False, seed=0
+        )
+        run_until_quiescent(result.sim, result.systems)
+        assert check_causal(result.global_history).ok
+
     def test_mixed_protocol_tree(self):
         result = build_interconnected(
             ["vector-causal", "parametrized-causal", "aw-sequential", "delayed-causal"],

@@ -10,7 +10,6 @@ from repro.analysis import (
     flat_latency,
     flat_messages_per_write,
     interconnected_messages_per_write,
-    render_table,
     star_worst_latency,
 )
 from repro.errors import ConfigurationError
@@ -84,9 +83,3 @@ class TestComparison:
     def test_zero_predicted(self):
         assert Comparison("z", 0.0, 0.0).ratio == 1.0
         assert Comparison("z", 0.0, 5.0).ratio == float("inf")
-
-    def test_render_table(self):
-        table = render_table("E1", [Comparison("flat n=4", 3.0, 3.0)])
-        assert "E1" in table
-        assert "flat n=4" in table
-        assert "ratio= 1.000" in table

@@ -1,9 +1,14 @@
-"""Unit tests for the polynomial causal-memory checker (hand-built histories)."""
+"""Unit tests for the polynomial causal-memory checker (hand-built
+histories, and simulated vector-causal runs of growing size)."""
+
+import pytest
 
 from repro.checker import causal_order, check_causal
 from repro.memory.operations import INITIAL_VALUE
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profiling
+from repro.workloads import WorkloadSpec, build_interconnected
+from repro.workloads.scenarios import run_until_quiescent
 from tests.helpers import ops
 
 
@@ -200,3 +205,13 @@ class TestSaturationObservability:
         edges = registry.histogram("profile_size", site="checker.saturation_edges")
         assert (passes.count, passes.sum) == (1, 1)
         assert (edges.count, edges.sum) == (1, 0)
+
+
+class TestSimulatedRuns:
+    @pytest.mark.parametrize("processes, ops_per_process", [(3, 10), (5, 20), (8, 40), (10, 30)])
+    def test_vector_causal_run_is_causal(self, processes, ops_per_process):
+        spec = WorkloadSpec(processes=processes, ops_per_process=ops_per_process, write_ratio=0.4)
+        result = build_interconnected(["vector-causal"], spec, seed=1)
+        run_until_quiescent(result.sim, result.systems)
+        assert len(result.history) == processes * ops_per_process
+        assert check_causal(result.history).ok

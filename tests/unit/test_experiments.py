@@ -1,6 +1,7 @@
 """Unit tests for the experiment-runner library (repro.experiments).
 
-The benchmarks exercise these at full scale; here the contracts are pinned
+``python -m repro experiments`` runs these at full scale and checks the
+paper's claims on their results; here the contracts are pinned
 cheaply: return shapes, exact model agreement on small instances, and
 determinism (same seed, same numbers).
 """

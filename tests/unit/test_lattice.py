@@ -1,5 +1,7 @@
 """Exhaustive small-universe verification of the consistency lattice."""
 
+import pytest
+
 from repro.lattice import INCLUSIONS, classify, enumerate_histories, run_census
 from repro.memory.operations import INITIAL_VALUE
 from tests.helpers import ops
@@ -51,6 +53,18 @@ class TestCensus:
     def test_depth_4_single_variable_no_broken_laws(self):
         census = run_census(4)
         assert census.total > 1500
+        assert census.broken_laws == []
+
+    @pytest.mark.slow
+    def test_depth_5_single_variable_no_broken_laws(self):
+        census = run_census(5)
+        assert census.total > 15_000
+        assert census.broken_laws == []
+
+    @pytest.mark.slow
+    def test_depth_4_two_variables_no_broken_laws(self):
+        census = run_census(4, variables=("x", "y"))
+        assert census.total > 10_000
         assert census.broken_laws == []
 
     def test_all_inclusions_declared(self):

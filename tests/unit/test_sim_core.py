@@ -185,6 +185,17 @@ class TestRunBounds:
         sim.run()
         assert sim.events_processed == 4
 
+    def test_long_event_chain(self):
+        sim = Simulator()
+
+        def chain(remaining):
+            if remaining:
+                sim.schedule(0.001, lambda: chain(remaining - 1))
+
+        chain(20_000)
+        sim.run()
+        assert sim.events_processed == 20_000
+
     def test_run_is_not_reentrant(self):
         sim = Simulator()
         captured = []

@@ -65,6 +65,13 @@ class TestByteMeter:
         large = self.run_with_meter("invalidation-causal", "v" * 500)
         assert large.by_kind_bytes["Invalidation"] == small.by_kind_bytes["Invalidation"]
 
+    def test_invalidation_saves_bytes_on_large_values(self):
+        # X2: a 4 KiB value that nobody reads crosses the network only
+        # under propagation; invalidations carry timestamps, not payloads.
+        invalidation = self.run_with_meter("invalidation-causal", "x" * 4096)
+        propagation = self.run_with_meter("vector-causal", "x" * 4096)
+        assert invalidation.total_bytes < propagation.total_bytes / 10
+
     def test_overhead_charged_per_message(self):
         meter = self.run_with_meter("vector-causal", "v")
         assert meter.total_bytes >= meter.total * MESSAGE_OVERHEAD_BYTES
